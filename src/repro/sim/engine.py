@@ -34,10 +34,15 @@ Fast path
 The hot loop dispatches plain tuples ``(time, seq, kind, node, ...)``
 through a binary heap — no per-event object allocation, no dataclass
 comparison; the monotone ``seq`` settles ties before any payload field
-is compared, exactly like the reference engine's
-:class:`~repro.sim.events.EventQueue` did.  Results are *bit-identical*
-to :class:`~repro.sim.reference.ReferenceSimulationEngine` (same
-breakpoints, same exact skews, same counters) — the contract enforced by
+is compared.  Every execution rule (message fate, edge absence,
+Byzantine corruption, crash/leave, deferral to recovery, alarm
+generations, downtime) lives in this class; the queue is reached only
+through two seams, :meth:`SimulationEngine._push` (enqueue) and
+:meth:`SimulationEngine._drain` (the loop driver).
+:class:`~repro.sim.reference.ReferenceSimulationEngine` overrides just
+those two with the object-per-event :class:`~repro.sim.events.EventQueue`,
+and its results are *bit-identical* (same breakpoints, same exact
+skews, same counters) — the contract enforced by
 ``tests/test_engine_parity.py``; see ``docs/ENGINE.md``.
 
 Fault semantics (robustness extension; docs/FAULTS.md)
@@ -77,6 +82,8 @@ itself time-varying over a static *union graph*:
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -368,7 +375,7 @@ class SimulationEngine:
         self.now = 0.0
 
         self._heap: List[tuple] = []
-        self._seq = 0
+        self._seq = itertools.count()
         self._runtimes: Dict[NodeId, _NodeRuntime] = {}
         self._contexts: Dict[NodeId, _EngineContext] = {}
         for idx, node in enumerate(topology.nodes):
@@ -407,14 +414,9 @@ class SimulationEngine:
             # wake events, so a leave at time t is processed before any
             # same-time crash, wake, delivery, or alarm (FIFO tie-break).
             for event_time, node, kind in self._dynamic.node_timeline():
-                if event_time > self.horizon:
-                    continue
-                seq = self._seq
-                self._seq = seq + 1
-                heappush(
-                    self._heap,
-                    (event_time, seq, _LEAVE if kind == NODE_LEAVE else _JOIN, node),
-                )
+                if event_time <= self.horizon:
+                    kind = _LEAVE if kind == NODE_LEAVE else _JOIN
+                    self._push((event_time, next(self._seq), kind, node))
 
         self._injector: Optional[FaultInjector] = None
         if faults is not None:
@@ -422,14 +424,9 @@ class SimulationEngine:
             # Fault transitions are pushed before wake events so a crash at
             # time t is processed before a same-time wake (FIFO tie-break).
             for fault_time, node, kind in self._injector.node_timeline():
-                if fault_time > self.horizon:
-                    continue
-                seq = self._seq
-                self._seq = seq + 1
-                heappush(
-                    self._heap,
-                    (fault_time, seq, _CRASH if kind == NODE_CRASH else _RECOVER, node),
-                )
+                if fault_time <= self.horizon:
+                    kind = _CRASH if kind == NODE_CRASH else _RECOVER
+                    self._push((fault_time, next(self._seq), kind, node))
 
         if initiators is None:
             wake_times: Dict[NodeId, float] = {topology.nodes[0]: 0.0}
@@ -440,9 +437,16 @@ class SimulationEngine:
         if not wake_times:
             raise SimulationError("at least one initiator node is required")
         for node, wake_time in wake_times.items():
-            seq = self._seq
-            self._seq = seq + 1
-            heappush(self._heap, (wake_time, seq, _WAKE, node))
+            if node not in self._runtimes:
+                raise SimulationError(
+                    f"initiator {node!r} is not a node of the topology"
+                )
+            if not 0.0 <= wake_time < math.inf:
+                raise SimulationError(
+                    f"initiator {node!r} has wake time {wake_time!r}; "
+                    "wake times must be finite and non-negative"
+                )
+            self._push((wake_time, next(self._seq), _WAKE, node))
         if self._metrics is not None:
             self._metrics.phase_seconds["setup"] = (
                 time.perf_counter() - setup_started
@@ -573,14 +577,10 @@ class SimulationEngine:
                 f"event at time {deliver_time} scheduled in the past "
                 f"(current time {self.now})"
             )
-        heap = self._heap
         for _ in range(copies):
-            entry_seq = self._seq
-            self._seq = entry_seq + 1
-            heappush(
-                heap,
-                (deliver_time, entry_seq, _DELIVERY, neighbor,
-                 runtime.node_id, payload, self.now, bits),
+            self._push(
+                (deliver_time, next(self._seq), _DELIVERY, neighbor,
+                 runtime.node_id, payload, self.now, bits)
             )
 
     def _set_alarm(self, runtime: _NodeRuntime, name: str, hardware_value: float) -> None:
@@ -596,11 +596,9 @@ class SimulationEngine:
         # An alarm for an already-reached value fires immediately after the
         # current callback (same timestamp, later sequence number).
         fire_time = max(fire_time, self.now)
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(
-            self._heap,
-            (fire_time, seq, _ALARM, runtime.node_id, name, generation, hardware_value),
+        self._push(
+            (fire_time, next(self._seq), _ALARM, runtime.node_id, name,
+             generation, hardware_value)
         )
 
     def _freeze_rate(self, runtime: _NodeRuntime) -> None:
@@ -662,35 +660,99 @@ class SimulationEngine:
         if recovery is None or recovery > self.horizon:
             return
         metrics = self._metrics
-        seq = self._seq
-        self._seq = seq + 1
-        if entry[2] == _ALARM:
-            if metrics is not None:
+        if metrics is not None:
+            if entry[2] == _ALARM:
                 metrics.alarms_deferred += 1
-            heappush(
-                self._heap,
-                (recovery, seq, _ALARM, entry[3], entry[4], entry[5], entry[6]),
-            )
-        else:
-            if metrics is not None:
+            else:
                 metrics.wakes_deferred += 1
-            heappush(self._heap, (recovery, seq, _WAKE, entry[3]))
+        self._push((recovery, next(self._seq)) + entry[2:])
 
-    # -- main loop ---------------------------------------------------------------
+    def _dispatch(self, entry: tuple) -> bool:
+        """Apply one popped event at ``self.now``; return whether the
+        monitors should check it.
 
-    def _run_loop(self) -> None:
-        if self._finished:
-            raise SimulationError("engine instances are single-use; build a new one")
-        metrics = self._metrics
-        run_started = time.perf_counter() if metrics is not None else 0.0
+        A crashed or absent node processes nothing: deliveries to it are
+        lost, and live alarms and first wakes are deferred to its
+        recovery.  Superseded or cancelled alarms are skipped.
+        """
+        kind = entry[2]
+        node = entry[3]
+        runtime = self._runtimes[node]
+        now = self.now
+        log = self._event_log
+        if kind == _CRASH:
+            self._apply_crash(runtime)
+            if log is not None:
+                log.append(("crash", now, node, {}))
+        elif kind == _RECOVER:
+            self._apply_recovery(runtime)
+            if log is not None:
+                log.append(("recover", now, node, {}))
+        elif kind == _LEAVE:
+            self._apply_leave(runtime)
+            if log is not None:
+                log.append(("leave", now, node, {}))
+        elif kind == _JOIN:
+            self._apply_join(runtime)
+            if log is not None:
+                log.append(("join", now, node, {}))
+        elif runtime.crashed or runtime.absent:
+            if kind == _DELIVERY:
+                self._messages_lost_crash += 1
+                if log is not None:
+                    log.append(("drop", now, node,
+                                {"from": entry[4],
+                                 "send_time": entry[6],
+                                 "reason": "crash" if runtime.crashed
+                                 else "absent"}))
+            elif kind == _ALARM:
+                if runtime.alarm_generations.get(entry[4], 0) == entry[5]:
+                    self._defer_to_recovery(entry)
+            elif not runtime.started:  # _WAKE
+                self._defer_to_recovery(entry)
+            return False
+        elif kind == _DELIVERY:
+            sender = entry[4]
+            self._messages_received[node] += 1
+            if log is not None:
+                log.append(("deliver", now, node,
+                            {"from": sender,
+                             "send_time": entry[6],
+                             "bits": entry[7]}))
+            if not runtime.started:
+                self._start_node(runtime)
+            runtime.algorithm_node.on_message(self._contexts[node], sender, entry[5])
+        elif kind == _ALARM:
+            name = entry[4]
+            metrics = self._metrics
+            if runtime.alarm_generations.get(name, 0) != entry[5]:
+                if metrics is not None:
+                    metrics.alarms_superseded += 1
+                return False  # superseded or cancelled
+            if not runtime.started:  # pragma: no cover - defensive
+                raise SimulationError(f"alarm at unstarted node {node!r}")
+            if metrics is not None:
+                metrics.alarms_fired += 1
+            runtime.algorithm_node.on_alarm(self._contexts[node], name)
+        elif not runtime.started:  # _WAKE
+            self._start_node(runtime)
+        return True
+
+    # -- queue seams -------------------------------------------------------------
+
+    def _push(self, entry: tuple) -> None:
+        """Enqueue one event tuple (layouts above the class)."""
+        heappush(self._heap, entry)
+
+    def _drain(self) -> None:
+        """The loop driver: dispatch queued events up to the horizon."""
         heap = self._heap
         horizon = self.horizon
         max_events = self.max_events
         monitors = self.monitors
         tracker = self._tracker
-        runtimes = self._runtimes
-        contexts = self._contexts
-        log = self._event_log
+        metrics = self._metrics
+        dispatch = self._dispatch
         processed = 0
         while heap:
             entry = heap[0]
@@ -701,87 +763,39 @@ class SimulationEngine:
             self.now = now
             if tracker is not None:
                 tracker.advance(now)
-            kind = entry[2]
-            node = entry[3]
-            runtime = runtimes[node]
-            run_checks = True
-            if kind == _CRASH:
-                self._apply_crash(runtime)
-                if log is not None:
-                    log.append(("crash", now, node, {}))
-            elif kind == _RECOVER:
-                self._apply_recovery(runtime)
-                if log is not None:
-                    log.append(("recover", now, node, {}))
-            elif kind == _LEAVE:
-                self._apply_leave(runtime)
-                if log is not None:
-                    log.append(("leave", now, node, {}))
-            elif kind == _JOIN:
-                self._apply_join(runtime)
-                if log is not None:
-                    log.append(("join", now, node, {}))
-            elif runtime.crashed or runtime.absent:
-                run_checks = False
-                if kind == _DELIVERY:
-                    self._messages_lost_crash += 1
-                    if log is not None:
-                        log.append(("drop", now, node,
-                                    {"from": entry[4],
-                                     "send_time": entry[6],
-                                     "reason": "crash" if runtime.crashed
-                                     else "absent"}))
-                elif kind == _ALARM:
-                    if runtime.alarm_generations.get(entry[4], 0) == entry[5]:
-                        self._defer_to_recovery(entry)
-                else:  # _WAKE
-                    if not runtime.started:
-                        self._defer_to_recovery(entry)
-            elif kind == _DELIVERY:
-                sender = entry[4]
-                self._messages_received[node] += 1
-                if log is not None:
-                    log.append(("deliver", now, node,
-                                {"from": sender,
-                                 "send_time": entry[6],
-                                 "bits": entry[7]}))
-                if not runtime.started:
-                    self._start_node(runtime)
-                runtime.algorithm_node.on_message(contexts[node], sender, entry[5])
-            elif kind == _ALARM:
-                name = entry[4]
-                if runtime.alarm_generations.get(name, 0) != entry[5]:
-                    if metrics is not None:
-                        metrics.alarms_superseded += 1
-                    run_checks = False  # superseded or cancelled
-                else:
-                    if not runtime.started:  # pragma: no cover - defensive
-                        raise SimulationError(f"alarm at unstarted node {node!r}")
-                    if metrics is not None:
-                        metrics.alarms_fired += 1
-                    runtime.algorithm_node.on_alarm(contexts[node], name)
-            else:  # _WAKE
-                if not runtime.started:
-                    self._start_node(runtime)
-            if run_checks:
+            if dispatch(entry):
+                node = entry[3]
                 for monitor in monitors:
                     monitor.check(self, node, now)
             processed += 1
             if metrics is not None:
-                kind_name = _KIND_NAMES[kind]
-                metrics.events_by_type[kind_name] = (
-                    metrics.events_by_type.get(kind_name, 0) + 1
-                )
-                depth = len(heap)
-                if depth > metrics.queue_depth_hwm:
-                    metrics.queue_depth_hwm = depth
+                self._count_event(entry[2], len(heap))
             if processed > max_events:
                 self._events_processed = processed
-                raise SimulationError(
-                    f"exceeded {max_events} events at t={self.now}; "
-                    "likely a message storm or alarm loop"
-                )
+                raise self._event_cap_error()
         self._events_processed = processed
+
+    def _count_event(self, kind: int, queue_depth: int) -> None:
+        metrics = self._metrics
+        kind_name = _KIND_NAMES[kind]
+        metrics.events_by_type[kind_name] = metrics.events_by_type.get(kind_name, 0) + 1
+        if queue_depth > metrics.queue_depth_hwm:
+            metrics.queue_depth_hwm = queue_depth
+
+    def _event_cap_error(self) -> SimulationError:
+        return SimulationError(
+            f"exceeded {self.max_events} events at t={self.now}; "
+            "likely a message storm or alarm loop"
+        )
+
+    # -- main loop ---------------------------------------------------------------
+
+    def _run_loop(self) -> None:
+        if self._finished:
+            raise SimulationError("engine instances are single-use; build a new one")
+        metrics = self._metrics
+        run_started = time.perf_counter() if metrics is not None else 0.0
+        self._drain()
         self.now = self.horizon
         self._finished = True
         if metrics is not None:

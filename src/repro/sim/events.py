@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Hashable, List, Optional, Tuple
+from typing import Any, Hashable, List, Optional
 
 from repro.errors import SimulationError
 
@@ -144,15 +144,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    def drain_until(self, horizon: float) -> Tuple[int, int]:
-        """Drop all events later than ``horizon``; returns (kept, dropped).
-
-        Used when an execution is truncated.  Events exactly at the horizon
-        are kept.
-        """
-        kept = [e for e in self._heap if e.time <= horizon]
-        dropped = len(self._heap) - len(kept)
-        heapq.heapify(kept)
-        self._heap = kept
-        return len(kept), dropped

@@ -1,224 +1,71 @@
-"""The reference discrete-event engine (parity oracle for the fast path).
+"""The reference engine: the shared execution rules over a naive queue.
 
-This is the object-per-event implementation that :mod:`repro.sim.engine`
-shipped with before the fast-path rewrite, kept verbatim under a new
-name.  It exists for two reasons:
+:class:`ReferenceSimulationEngine` is a :class:`~repro.sim.engine.SimulationEngine`
+that replaces only the two queue seams:
 
-* **Parity testing** — ``tests/test_engine_parity.py`` runs the same
-  spec through this engine and the fast one and asserts byte-identical
-  results (same breakpoints, same exact skews, same counters).  Any
-  hot-path "optimization" that changes a single float fails there.
-* **Benchmark baseline** — ``benchmarks/bench_engine_perf.py`` measures
-  the fast engine's speedup against this one.
+* **enqueue** — each event tuple becomes an :class:`~repro.sim.events.Event`
+  dataclass in an :class:`~repro.sim.events.EventQueue`, which breaks
+  ties with its own FIFO counter and refuses events scheduled in the
+  past;
+* **loop driver** — a plain ``while queue: pop → set now → dispatch →
+  monitors → counters`` loop, converting each popped event back into
+  the engine's tuple layout for the shared dispatch.
 
-It dispatches one :class:`~repro.sim.events.Event` dataclass at a time
-through an :class:`~repro.sim.events.EventQueue` and always records a
-full :class:`~repro.sim.trace.ExecutionTrace`.  Semantics are documented
-in :mod:`repro.sim.engine`; the two implementations must stay
-behavior-identical, which the parity suite enforces.  Do not optimize
-this module — its value is being the simple, obviously-correct one.
+Every rule (message fate, edge absence, corruption, crash/leave,
+deferral, alarm generations, downtime, trace building) is inherited, so
+``tests/test_engine_parity.py`` checks exactly what differs by design:
+queue ordering and tie-breaks, and the tuple layout round trip.  It
+always records a full trace.  Do not optimize this module — its value
+is being the simple, obviously-correct loop.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+import dataclasses
+from typing import Any, Hashable, Iterable, Optional, Sequence
 
-from repro.core.interfaces import Algorithm, AlgorithmNode, NodeContext
-from repro.errors import SimulationError
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import NODE_CRASH, FaultSchedule
-from repro.obs.metrics import RunMetrics
-from repro.sim.clock import HardwareClock
-from repro.sim.delays import DROP, DelayModel
+from repro.core.interfaces import Algorithm
+from repro.faults.schedule import FaultSchedule
+from repro.sim.delays import DelayModel
 from repro.sim.drift import DriftModel
+from repro.sim.engine import DEFAULT_MAX_EVENTS, SimulationEngine
 from repro.sim.events import (
     AlarmEvent,
     CrashEvent,
     DeliveryEvent,
+    Event,
     EventQueue,
     JoinEvent,
     LeaveEvent,
     RecoverEvent,
     WakeEvent,
 )
-from repro.sim.trace import (
-    ExecutionTrace,
-    LogicalClockRecord,
-    MessageRecord,
-    ProbeRecord,
-)
-from repro.topology.dynamic import (
-    NODE_LEAVE,
-    CompiledTopologySchedule,
-    TopologySchedule,
-    merged_downtime,
-)
+from repro.topology.dynamic import TopologySchedule
 from repro.topology.generators import Topology
 
 __all__ = ["ReferenceSimulationEngine"]
 
 NodeId = Hashable
 
-#: Hard cap on processed events; a correct experiment stays far below it,
-#: so hitting the cap indicates a message storm or alarm loop.
-DEFAULT_MAX_EVENTS = 20_000_000
-
-#: Event-class → metrics/event-log kind name.
-_EVENT_KINDS = {
-    WakeEvent: "wake",
-    DeliveryEvent: "delivery",
-    AlarmEvent: "alarm",
-    CrashEvent: "crash",
-    RecoverEvent: "recover",
-    LeaveEvent: "leave",
-    JoinEvent: "join",
-}
+#: Event class per engine kind code (the tuple's third field).
+_EVENT_CLASSES = (
+    CrashEvent, RecoverEvent, WakeEvent, DeliveryEvent, AlarmEvent, LeaveEvent, JoinEvent,
+)
+_KINDS = {cls: kind for kind, cls in enumerate(_EVENT_CLASSES)}
 
 
-class _NodeRuntime:
-    """Engine-side state for one node."""
-
-    __slots__ = (
-        "node_id",
-        "neighbors",
-        "algorithm_node",
-        "started",
-        "crashed",
-        "absent",
-        "hardware",
-        "record",
-        "rho",
-        "alarm_generations",
-        "edge_seq",
-    )
-
-    def __init__(
-        self, node_id: NodeId, neighbors: Tuple[NodeId, ...], algorithm_node: AlgorithmNode
-    ):
-        self.node_id = node_id
-        self.neighbors = neighbors
-        self.algorithm_node = algorithm_node
-        self.started = False
-        self.crashed = False
-        self.absent = False
-        self.hardware: Optional[HardwareClock] = None
-        self.record: Optional[LogicalClockRecord] = None
-        self.rho = 1.0
-        self.alarm_generations: Dict[str, int] = {}
-        self.edge_seq: Dict[NodeId, int] = {}
+def _as_entry(event: Event) -> tuple:
+    """The engine tuple for ``event``; the reference keeps no ``seq``."""
+    fields = [getattr(event, f.name) for f in dataclasses.fields(event)]
+    return (fields[0], None, _KINDS[type(event)], *fields[1:])
 
 
-class _EngineContext(NodeContext):
-    """The capability object handed to algorithm callbacks.
+class ReferenceSimulationEngine(SimulationEngine):
+    """:class:`~repro.sim.engine.SimulationEngine` over an
+    :class:`~repro.sim.events.EventQueue`; always records a trace.
 
-    Bound to one node; the engine updates ``_now`` before each callback.
-    Exposes only model-legal operations — notably *not* real time.
-    """
-
-    def __init__(self, engine: "ReferenceSimulationEngine", runtime: _NodeRuntime):
-        self._engine = engine
-        self._runtime = runtime
-        self.node_id = runtime.node_id
-        self.neighbors = runtime.neighbors
-
-    def hardware(self) -> float:
-        return self._runtime.hardware.value(self._engine.now)
-
-    def logical(self) -> float:
-        return self._runtime.record.value(self._engine.now)
-
-    def rate_multiplier(self) -> float:
-        return self._runtime.rho
-
-    def set_rate_multiplier(self, rho: float) -> None:
-        if rho <= 0:
-            raise SimulationError(f"rate multiplier must be positive, got {rho}")
-        runtime = self._runtime
-        if rho != runtime.rho:
-            runtime.record.checkpoint(self._engine.now, rho)
-            runtime.rho = rho
-
-    def jump_logical(self, value: float) -> None:
-        engine = self._engine
-        if not engine.algorithm.allows_jumps:
-            raise SimulationError(
-                f"algorithm {engine.algorithm.name!r} did not declare "
-                "allows_jumps but attempted a discontinuous clock jump"
-            )
-        if engine._event_log is not None:
-            engine._event_log.append(
-                (
-                    "jump",
-                    engine.now,
-                    self.node_id,
-                    {"value_from": self._runtime.record.value(engine.now),
-                     "value_to": value},
-                )
-            )
-        self._runtime.record.jump(engine.now, value)
-
-    def send_to(self, neighbor: NodeId, payload: Any) -> None:
-        self._engine._send(self._runtime, neighbor, payload)
-
-    def send_all(self, payload: Any) -> None:
-        for neighbor in self.neighbors:
-            self._engine._send(self._runtime, neighbor, payload)
-
-    def set_alarm(self, name: str, hardware_value: float) -> None:
-        self._engine._set_alarm(self._runtime, name, hardware_value)
-
-    def cancel_alarm(self, name: str) -> None:
-        generations = self._runtime.alarm_generations
-        generations[name] = generations.get(name, 0) + 1
-
-    def probe(self, name: str, value: Any) -> None:
-        self._engine._probes.append(
-            ProbeRecord(name, self.node_id, self._engine.now, value)
-        )
-
-
-class ReferenceSimulationEngine:
-    """Builds and runs one execution; see module docstring.
-
-    Parameters
-    ----------
-    topology:
-        The communication graph ``G``.
-    algorithm:
-        Factory of per-node state machines.
-    drift_model:
-        Hardware clock rate schedules (the adversary's drift choice).
-    delay_model:
-        Message delay choices (the adversary's delay choice).
-    horizon:
-        Real-time duration of the execution.
-    initiators:
-        Nodes that wake spontaneously at time 0 (default: the first node,
-        matching the paper's single-origin initialization flood).  A
-        mapping ``node → wake_time`` is also accepted.
-    record_messages:
-        Keep a full message log in the trace (memory-heavy; default off).
-    monitors:
-        Objects with ``check(engine, node_id, time)`` called after every
-        event (see :mod:`repro.sim.monitors`).
-    faults:
-        Optional :class:`~repro.faults.schedule.FaultSchedule`; see the
-        module docstring's "Fault semantics".
-    topology_schedule:
-        Optional :class:`~repro.topology.dynamic.TopologySchedule`
-        making the graph time-varying; ``topology`` is then the union
-        graph.  See "Dynamic topology" in :mod:`repro.sim.engine`.
-    collect_metrics:
-        Collect :class:`~repro.obs.metrics.RunMetrics` (event counters,
-        queue high-water mark, phase wall times) onto the trace.  Off by
-        default; when off the engine pays one ``is None`` check per
-        event and results are byte-identical either way.
-    record_events:
-        Keep a structured event log (sends, deliveries, drops with
-        reasons, jumps, crash/recover transitions) on the trace for
-        :meth:`~repro.sim.trace.ExecutionTrace.export_events`.
-        Memory-proportional to the event count; off by default.
+    Takes the fast engine's parameters except ``record_trace`` and
+    ``trace_node_cap``.
     """
 
     def __init__(
@@ -237,467 +84,31 @@ class ReferenceSimulationEngine:
         collect_metrics: bool = False,
         record_events: bool = False,
     ):
-        setup_started = time.perf_counter() if collect_metrics else 0.0
-        if horizon <= 0:
-            raise SimulationError(f"horizon must be positive, got {horizon}")
-        self.topology = topology
-        self.algorithm = algorithm
-        self.drift_model = drift_model
-        self.delay_model = delay_model
-        self.horizon = float(horizon)
-        self.record_messages = record_messages
-        self.monitors = tuple(monitors)
-        self.max_events = max_events
-        self.now = 0.0
-
         self._queue = EventQueue()
-        self._runtimes: Dict[NodeId, _NodeRuntime] = {}
-        self._contexts: Dict[NodeId, _EngineContext] = {}
-        for node in topology.nodes:
-            neighbors = topology.neighbors(node)
-            runtime = _NodeRuntime(node, neighbors, algorithm.make_node(node, neighbors))
-            self._runtimes[node] = runtime
-            self._contexts[node] = _EngineContext(self, runtime)
-
-        self._messages_sent: Dict[NodeId, int] = {n: 0 for n in topology.nodes}
-        self._messages_received: Dict[NodeId, int] = {n: 0 for n in topology.nodes}
-        self._bits_sent: Dict[NodeId, int] = {n: 0 for n in topology.nodes}
-        self._message_log: List[MessageRecord] = []
-        self._probes: List[ProbeRecord] = []
-        self._events_processed = 0
-        self._messages_dropped = 0
-        self._messages_lost_link = 0
-        self._messages_lost_crash = 0
-        self._messages_duplicated = 0
-        self._finished = False
-        self._metrics: Optional[RunMetrics] = RunMetrics() if collect_metrics else None
-        self._event_log: Optional[List[Tuple[str, float, NodeId, dict]]] = (
-            [] if record_events else None
+        super().__init__(
+            topology, algorithm, drift_model, delay_model, horizon,
+            initiators=initiators, record_messages=record_messages,
+            monitors=monitors, max_events=max_events, faults=faults,
+            topology_schedule=topology_schedule,
+            collect_metrics=collect_metrics, record_events=record_events,
         )
 
-        self._dynamic: Optional[CompiledTopologySchedule] = None
-        if topology_schedule is not None and not topology_schedule.is_empty:
-            self._dynamic = CompiledTopologySchedule(topology_schedule, topology)
-            # Topology transitions are pushed before fault transitions and
-            # wake events, so a leave at time t is processed before any
-            # same-time crash, wake, delivery, or alarm (FIFO tie-break).
-            for event_time, node, kind in self._dynamic.node_timeline():
-                if event_time > self.horizon:
-                    continue
-                if kind == NODE_LEAVE:
-                    self._queue.push(LeaveEvent(event_time, node))
-                else:
-                    self._queue.push(JoinEvent(event_time, node))
+    def _push(self, entry: tuple) -> None:
+        self._queue.push(_EVENT_CLASSES[entry[2]](entry[0], entry[3], *entry[4:]))
 
-        self._injector: Optional[FaultInjector] = None
-        if faults is not None:
-            self._injector = FaultInjector(faults, topology)
-            # Fault transitions are pushed before wake events so a crash at
-            # time t is processed before a same-time wake (FIFO tie-break).
-            for fault_time, node, kind in self._injector.node_timeline():
-                if fault_time > self.horizon:
-                    continue
-                if kind == NODE_CRASH:
-                    self._queue.push(CrashEvent(fault_time, node))
-                else:
-                    self._queue.push(RecoverEvent(fault_time, node))
-
-        if initiators is None:
-            wake_times: Dict[NodeId, float] = {topology.nodes[0]: 0.0}
-        elif isinstance(initiators, dict):
-            wake_times = dict(initiators)
-        else:
-            wake_times = {node: 0.0 for node in initiators}
-        if not wake_times:
-            raise SimulationError("at least one initiator node is required")
-        for node, wake_time in wake_times.items():
-            self._queue.push(WakeEvent(wake_time, node))
-        if self._metrics is not None:
-            self._metrics.phase_seconds["setup"] = (
-                time.perf_counter() - setup_started
-            )
-
-    # -- read API used by monitors and algorithms-by-proxy -------------------
-
-    def is_started(self, node: NodeId) -> bool:
-        return self._runtimes[node].started
-
-    def logical_value(self, node: NodeId, t: Optional[float] = None) -> float:
-        runtime = self._runtimes[node]
-        if runtime.record is None:
-            return 0.0
-        return runtime.record.value(self.now if t is None else t)
-
-    def hardware_value(self, node: NodeId, t: Optional[float] = None) -> float:
-        runtime = self._runtimes[node]
-        if runtime.hardware is None:
-            return 0.0
-        return runtime.hardware.value(self.now if t is None else t)
-
-    def start_time(self, node: NodeId) -> Optional[float]:
-        runtime = self._runtimes[node]
-        return runtime.hardware.start_time if runtime.started else None
-
-    def rate_multiplier(self, node: NodeId) -> float:
-        return self._runtimes[node].rho
-
-    def node_state(self, node: NodeId) -> AlgorithmNode:
-        """The algorithm's node object (for white-box assertions in tests)."""
-        return self._runtimes[node].algorithm_node
-
-    def is_down(self, node: NodeId) -> bool:
-        """Whether the node is currently crashed (fault executions only)."""
-        return self._runtimes[node].crashed
-
-    def is_absent(self, node: NodeId) -> bool:
-        """Whether the node is currently absent (dynamic topologies only)."""
-        return self._runtimes[node].absent
-
-    # -- internals ------------------------------------------------------------
-
-    def _start_node(self, runtime: _NodeRuntime) -> None:
-        rate = self.drift_model.validated_rate_function(runtime.node_id, self.horizon)
-        runtime.hardware = HardwareClock(rate, start_time=self.now)
-        runtime.record = LogicalClockRecord(runtime.hardware)
-        runtime.started = True
-        runtime.algorithm_node.on_start(self._contexts[runtime.node_id])
-
-    def _send(self, runtime: _NodeRuntime, neighbor: NodeId, payload: Any) -> None:
-        if neighbor not in runtime.neighbors:
-            raise SimulationError(
-                f"node {runtime.node_id!r} attempted to send to non-neighbor {neighbor!r}"
-            )
-        seq = runtime.edge_seq.get(neighbor, 0)
-        runtime.edge_seq[neighbor] = seq + 1
-        bits = self.algorithm.payload_bits(payload)
-        self._messages_sent[runtime.node_id] += 1
-        self._bits_sent[runtime.node_id] += bits
-        if self._metrics is not None:
-            self._metrics.sends += 1
-        log = self._event_log
-        dynamic = self._dynamic
-        if dynamic is not None and dynamic.is_edge_absent(
-            runtime.node_id, neighbor, self.now
-        ):
-            self._messages_lost_link += 1
-            if log is not None:
-                log.append(("drop", self.now, runtime.node_id,
-                            {"to": neighbor, "seq": seq, "reason": "edge-absent"}))
-            return
-        injector = self._injector
-        if injector is not None and injector.is_link_down(
-            runtime.node_id, neighbor, self.now
-        ):
-            self._messages_lost_link += 1
-            if log is not None:
-                log.append(("drop", self.now, runtime.node_id,
-                            {"to": neighbor, "seq": seq, "reason": "link-down"}))
-            return
-        delay = self.delay_model.validated_delay(
-            runtime.node_id, neighbor, self.now, seq
-        )
-        if delay == DROP:
-            self._messages_dropped += 1
-            if log is not None:
-                log.append(("drop", self.now, runtime.node_id,
-                            {"to": neighbor, "seq": seq, "reason": "delay-model"}))
-            return
-        copies = 1
-        if injector is not None:
-            fate = injector.message_fate(runtime.node_id, neighbor, self.now, seq)
-            if fate.drop:
-                self._messages_dropped += 1
-                if log is not None:
-                    log.append(("drop", self.now, runtime.node_id,
-                                {"to": neighbor, "seq": seq, "reason": "fault"}))
-                return
-            # A delay spike is applied after validation: exceeding T is the
-            # point — it violates the paper's timing assumption on purpose.
-            delay += fate.extra_delay
-            if fate.duplicate:
-                copies = 2
-                self._messages_duplicated += 1
-        if injector is not None and injector.is_byzantine(runtime.node_id, self.now):
-            corrupted = injector.corrupt_payload(
-                runtime.node_id, neighbor, self.now, seq, payload
-            )
-            if corrupted is not None:
-                payload, reason = corrupted
-                if log is not None:
-                    log.append(("corrupt", self.now, runtime.node_id,
-                                {"to": neighbor, "seq": seq, "reason": reason}))
-        if log is not None:
-            log.append(("send", self.now, runtime.node_id,
-                        {"to": neighbor, "seq": seq, "delay": delay,
-                         "bits": bits, "copies": copies}))
-        if self.record_messages:
-            self._message_log.append(
-                MessageRecord(runtime.node_id, neighbor, self.now, delay, payload, bits)
-            )
-        for _ in range(copies):
-            self._queue.push(
-                DeliveryEvent(
-                    time=self.now + delay,
-                    node=neighbor,
-                    sender=runtime.node_id,
-                    payload=payload,
-                    send_time=self.now,
-                    size_bits=bits,
-                )
-            )
-
-    def _set_alarm(self, runtime: _NodeRuntime, name: str, hardware_value: float) -> None:
-        if runtime.hardware is None:
-            raise SimulationError(
-                f"node {runtime.node_id!r} armed alarm {name!r} before starting"
-            )
-        generation = runtime.alarm_generations.get(name, 0) + 1
-        runtime.alarm_generations[name] = generation
-        if self._metrics is not None:
-            self._metrics.alarms_set += 1
-        fire_time = runtime.hardware.time_at_value(max(hardware_value, 0.0))
-        # An alarm for an already-reached value fires immediately after the
-        # current callback (same timestamp, later sequence number).
-        fire_time = max(fire_time, self.now)
-        self._queue.push(
-            AlarmEvent(
-                time=fire_time,
-                node=runtime.node_id,
-                name=name,
-                generation=generation,
-                hardware_value=hardware_value,
-            )
-        )
-
-    def _freeze_rate(self, runtime: _NodeRuntime) -> None:
-        if runtime.started and runtime.rho != 1.0:
-            # The logical clock free-runs at multiplier 1 during the outage,
-            # keeping it inside the Condition (2) envelope (α = 1 − ε ≤ 1).
-            runtime.record.checkpoint(self.now, 1.0)
-            runtime.rho = 1.0
-
-    def _apply_crash(self, runtime: _NodeRuntime) -> None:
-        runtime.crashed = True
-        self._freeze_rate(runtime)
-
-    def _apply_recovery(self, runtime: _NodeRuntime) -> None:
-        runtime.crashed = False
-        if runtime.started and not runtime.absent:
-            runtime.algorithm_node.on_recover(self._contexts[runtime.node_id])
-
-    def _apply_leave(self, runtime: _NodeRuntime) -> None:
-        runtime.absent = True
-        self._freeze_rate(runtime)
-
-    def _apply_join(self, runtime: _NodeRuntime) -> None:
-        runtime.absent = False
-        if runtime.started and not runtime.crashed:
-            runtime.algorithm_node.on_recover(self._contexts[runtime.node_id])
-
-    def _resume_time(self, node: NodeId) -> Optional[float]:
-        """When the node is next both recovered and present, or None.
-
-        ``None`` means some covering outage never ends.  If the returned
-        instant still falls inside the *other* source's outage, the
-        re-queued event is simply deferred again when popped.
-        """
-        resume: Optional[float] = None
-        injector = self._injector
-        if injector is not None and injector.is_node_down(node, self.now):
-            resume = injector.next_recovery(node, self.now)
-            if resume is None:
-                return None
-        dynamic = self._dynamic
-        if dynamic is not None and dynamic.is_node_absent(node, self.now):
-            presence = dynamic.next_presence(node, self.now)
-            if presence is None:
-                return None
-            resume = presence if resume is None else max(resume, presence)
-        return resume
-
-    def _defer_to_recovery(self, event) -> None:
-        """Re-queue a wake/alarm that came due during an outage.
-
-        It fires at the recovery/rejoin instant (after ``on_recover``,
-        which was queued earlier and therefore pops first at equal time);
-        if the node never comes back, the event is dropped.
-        """
-        recovery = self._resume_time(event.node)
-        if recovery is None or recovery > self.horizon:
-            return
-        if self._metrics is not None:
-            if isinstance(event, AlarmEvent):
-                self._metrics.alarms_deferred += 1
-            else:
-                self._metrics.wakes_deferred += 1
-        if isinstance(event, AlarmEvent):
-            self._queue.push(
-                AlarmEvent(
-                    time=recovery,
-                    node=event.node,
-                    name=event.name,
-                    generation=event.generation,
-                    hardware_value=event.hardware_value,
-                )
-            )
-        else:
-            self._queue.push(WakeEvent(recovery, event.node))
-
-    def _process_event(self, event) -> None:
-        runtime = self._runtimes[event.node]
-        ctx = self._contexts[event.node]
-        log = self._event_log
-        if isinstance(event, CrashEvent):
-            self._apply_crash(runtime)
-            if log is not None:
-                log.append(("crash", self.now, event.node, {}))
-        elif isinstance(event, RecoverEvent):
-            self._apply_recovery(runtime)
-            if log is not None:
-                log.append(("recover", self.now, event.node, {}))
-        elif isinstance(event, LeaveEvent):
-            self._apply_leave(runtime)
-            if log is not None:
-                log.append(("leave", self.now, event.node, {}))
-        elif isinstance(event, JoinEvent):
-            self._apply_join(runtime)
-            if log is not None:
-                log.append(("join", self.now, event.node, {}))
-        elif runtime.crashed or runtime.absent:
-            if isinstance(event, DeliveryEvent):
-                self._messages_lost_crash += 1
-                if log is not None:
-                    log.append(("drop", self.now, event.node,
-                                {"from": event.sender,
-                                 "send_time": event.send_time,
-                                 "reason": "crash" if runtime.crashed
-                                 else "absent"}))
-            elif isinstance(event, AlarmEvent):
-                if runtime.alarm_generations.get(event.name, 0) == event.generation:
-                    self._defer_to_recovery(event)
-            elif isinstance(event, WakeEvent):
-                if not runtime.started:
-                    self._defer_to_recovery(event)
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown event type {type(event).__name__}")
-            return
-        elif isinstance(event, WakeEvent):
-            if not runtime.started:
-                self._start_node(runtime)
-        elif isinstance(event, DeliveryEvent):
-            self._messages_received[event.node] += 1
-            if log is not None:
-                log.append(("deliver", self.now, event.node,
-                            {"from": event.sender,
-                             "send_time": event.send_time,
-                             "bits": event.size_bits}))
-            if not runtime.started:
-                self._start_node(runtime)
-            runtime.algorithm_node.on_message(ctx, event.sender, event.payload)
-        elif isinstance(event, AlarmEvent):
-            if runtime.alarm_generations.get(event.name, 0) != event.generation:
-                if self._metrics is not None:
-                    self._metrics.alarms_superseded += 1
-                return  # superseded or cancelled
-            if not runtime.started:  # pragma: no cover - defensive
-                raise SimulationError(f"alarm at unstarted node {event.node!r}")
-            if self._metrics is not None:
-                self._metrics.alarms_fired += 1
-            runtime.algorithm_node.on_alarm(ctx, event.name)
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown event type {type(event).__name__}")
-        for monitor in self.monitors:
-            monitor.check(self, event.node, self.now)
-
-    # -- main loop ---------------------------------------------------------------
-
-    def run(self) -> ExecutionTrace:
-        """Run until the horizon and return the execution trace."""
-        if self._finished:
-            raise SimulationError("engine instances are single-use; build a new one")
-        metrics = self._metrics
-        run_started = time.perf_counter() if metrics is not None else 0.0
-        while self._queue:
-            next_time = self._queue.peek_time()
-            if next_time > self.horizon:
+    def _drain(self) -> None:
+        queue = self._queue
+        while queue:
+            if queue.peek_time() > self.horizon:
                 break
-            event = self._queue.pop()
+            event = queue.pop()
             self.now = event.time
-            self._process_event(event)
+            entry = _as_entry(event)
+            if self._dispatch(entry):
+                for monitor in self.monitors:
+                    monitor.check(self, event.node, self.now)
             self._events_processed += 1
-            if metrics is not None:
-                kind = _EVENT_KINDS[type(event)]
-                metrics.events_by_type[kind] = (
-                    metrics.events_by_type.get(kind, 0) + 1
-                )
-                depth = len(self._queue)
-                if depth > metrics.queue_depth_hwm:
-                    metrics.queue_depth_hwm = depth
+            if self._metrics is not None:
+                self._count_event(entry[2], len(queue))
             if self._events_processed > self.max_events:
-                raise SimulationError(
-                    f"exceeded {self.max_events} events at t={self.now}; "
-                    "likely a message storm or alarm loop"
-                )
-        self.now = self.horizon
-        self._finished = True
-        if metrics is not None:
-            metrics.phase_seconds["run"] = time.perf_counter() - run_started
-        return self._build_trace()
-
-    def _build_trace(self) -> ExecutionTrace:
-        unstarted = [n for n, r in self._runtimes.items() if not r.started]
-        if unstarted:
-            raise SimulationError(
-                f"{len(unstarted)} nodes never initialized within the horizon "
-                f"(first few: {unstarted[:5]}); extend the horizon"
-            )
-        metrics = self._metrics
-        trace_started = time.perf_counter() if metrics is not None else 0.0
-        # Per-node scheduled downtime overlapping the node's active window
-        # [start, horizon]; deterministic, so summaries stay byte-identical.
-        # Crash intervals and topology absences are union-merged so an
-        # outage covered by both sources is not counted twice.
-        downtime: Dict[NodeId, float] = {}
-        if self._injector is not None or self._dynamic is not None:
-            for node, runtime in self._runtimes.items():
-                interval_lists = []
-                if self._injector is not None:
-                    interval_lists.append(self._injector.node_intervals(node))
-                if self._dynamic is not None:
-                    interval_lists.append(
-                        self._dynamic.node_absence_intervals(node)
-                    )
-                down = merged_downtime(
-                    interval_lists, runtime.hardware.start_time, self.horizon
-                )
-                if down > 0.0:
-                    downtime[node] = down
-        if metrics is not None:
-            for node, runtime in self._runtimes.items():
-                metrics.checkpoints_by_node[node] = runtime.record.checkpoint_count
-                metrics.breakpoints_by_node[node] = len(
-                    runtime.record.breakpoints_in(
-                        runtime.hardware.start_time, self.horizon
-                    )
-                )
-            metrics.phase_seconds["trace"] = time.perf_counter() - trace_started
-        return ExecutionTrace(
-            topology=self.topology,
-            horizon=self.horizon,
-            logical={n: r.record for n, r in self._runtimes.items()},
-            hardware={n: r.hardware for n, r in self._runtimes.items()},
-            start_times={n: r.hardware.start_time for n, r in self._runtimes.items()},
-            messages_sent=dict(self._messages_sent),
-            messages_received=dict(self._messages_received),
-            bits_sent=dict(self._bits_sent),
-            message_log=self._message_log,
-            probes=self._probes,
-            events_processed=self._events_processed,
-            messages_dropped=self._messages_dropped,
-            messages_lost_link=self._messages_lost_link,
-            messages_lost_crash=self._messages_lost_crash,
-            messages_duplicated=self._messages_duplicated,
-            downtime=downtime,
-            metrics=metrics,
-            event_log=self._event_log,
-        )
+                raise self._event_cap_error()

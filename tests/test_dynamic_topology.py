@@ -268,6 +268,7 @@ def _partition_spec(seed=0, record_trace=True):
     )
 
 
+@pytest.mark.parity
 class TestDynamicParity:
     @pytest.mark.parametrize("build", [_merge_spec, _partition_spec])
     def test_fast_engine_matches_reference(self, build):

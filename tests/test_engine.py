@@ -7,6 +7,7 @@ from repro.errors import SimulationError
 from repro.sim.delays import ConstantDelay, FunctionDelay
 from repro.sim.drift import ConstantDrift
 from repro.sim.engine import SimulationEngine
+from repro.sim.reference import ReferenceSimulationEngine
 from repro.topology.generators import line, star
 
 
@@ -98,11 +99,25 @@ class TestInitialization:
         with pytest.raises(SimulationError, match="never initialized"):
             run(line(3), algo)
 
-    def test_no_initiators_rejected(self):
-        with pytest.raises(SimulationError):
-            SimulationEngine(
+    @pytest.mark.parametrize(
+        "engine_cls", [SimulationEngine, ReferenceSimulationEngine],
+        ids=["fast", "reference"],
+    )
+    @pytest.mark.parametrize(
+        "initiators,match",
+        [
+            ([], "at least one initiator"),
+            ([99], "initiator 99 is not a node"),
+            ({0: -1.0}, "initiator 0 has wake time -1.0"),
+            ({0: float("nan")}, "initiator 0 has wake time nan"),
+        ],
+        ids=["empty", "unknown-node", "negative-time", "nan-time"],
+    )
+    def test_no_initiators_rejected(self, engine_cls, initiators, match):
+        with pytest.raises(SimulationError, match=match):
+            engine_cls(
                 line(2), ScriptedAlgorithm(), ConstantDrift(0.01),
-                ConstantDelay(0.1), 10.0, initiators=[],
+                ConstantDelay(0.1), 10.0, initiators=initiators,
             )
 
     def test_message_wakes_then_delivers(self):

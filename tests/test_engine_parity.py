@@ -7,10 +7,12 @@ fast engine produces the same breakpoints, the same skew extrema, the
 same counters — not approximately, but to the last float bit.  These
 tests pin that contract three ways:
 
-* **reference vs fast trace** — the verbatim pre-rewrite engine
-  (:class:`~repro.sim.reference.ReferenceSimulationEngine`) and the fast
-  engine run the same spec; their ``ExecutionSummary`` pickles must be
-  byte-identical.
+* **reference vs fast trace** — the reference engine
+  (:class:`~repro.sim.reference.ReferenceSimulationEngine`, the same
+  rules over an object-per-event :class:`~repro.sim.events.EventQueue`)
+  and the fast engine run the same spec; their ``ExecutionSummary``
+  pickles must be byte-identical, which pins the queue ordering,
+  tie-breaks and event tuple layout.
 * **fast trace vs streaming** — ``record_trace=False`` folds skew
   extrema incrementally instead of materializing a trace; the summaries
   must agree byte-for-byte via canonical JSON once the (deliberately
@@ -73,7 +75,7 @@ def _scenario_spec(seed: int, index: int) -> ExecutionSpec:
 
 
 def _reference_summary(spec: ExecutionSpec, record_events: bool = False):
-    """Run ``spec`` on the verbatim pre-rewrite engine (the oracle)."""
+    """Run ``spec`` on the reference engine (the oracle)."""
     algorithm, drift, delay = copy.deepcopy(
         (spec.algorithm, spec.drift, spec.delay)
     )

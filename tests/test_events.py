@@ -61,40 +61,6 @@ class TestSafety:
         assert queue.pop().node == "y"
 
 
-class TestDrain:
-    def test_drain_until(self):
-        queue = EventQueue()
-        for t in (1.0, 2.0, 3.0, 4.0):
-            queue.push(WakeEvent(t, "n"))
-        kept, dropped = queue.drain_until(2.5)
-        assert (kept, dropped) == (2, 2)
-        assert queue.pop().time == 1.0
-
-    def test_event_exactly_at_horizon_kept(self):
-        # The horizon is inclusive: an event due exactly at the horizon
-        # still happens (the engine's last instant is simulated).
-        queue = EventQueue()
-        for t in (1.0, 3.0, 3.0000000001):
-            queue.push(WakeEvent(t, "n"))
-        kept, dropped = queue.drain_until(3.0)
-        assert (kept, dropped) == (2, 1)
-        times = [queue.pop().time for _ in range(2)]
-        assert times == [1.0, 3.0]
-
-    def test_drain_preserves_order_of_survivors(self):
-        queue = EventQueue()
-        queue.push(WakeEvent(2.0, "late"))
-        queue.push(WakeEvent(1.0, "a"))
-        queue.push(WakeEvent(1.0, "b"))  # FIFO tie with "a"
-        queue.push(WakeEvent(9.0, "dropped"))
-        kept, dropped = queue.drain_until(5.0)
-        assert (kept, dropped) == (3, 1)
-        assert [queue.pop().node for _ in range(3)] == ["a", "b", "late"]
-
-    def test_drain_empty_queue(self):
-        assert EventQueue().drain_until(10.0) == (0, 0)
-
-
 class TestEventTypes:
     def test_delivery_event_fields(self):
         event = DeliveryEvent(
