@@ -404,7 +404,7 @@ class SimulationEngine:
         self._tracker: Optional[StreamingSkewTracker] = None
         if not record_trace:
             self._tracker = StreamingSkewTracker(
-                topology.nodes, topology.edges(), self.horizon, prune=True
+                topology.nodes, topology.edges(), self.horizon
             )
 
         self._dynamic: Optional[CompiledTopologySchedule] = None

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InvariantViolation
-from repro.sim.trace import SkewExtremum
+from repro.sim.trace import SkewExtremum, _max_extremum, _skew_fold
 
 __all__ = [
     "Violation",
@@ -134,34 +135,37 @@ class RateBoundMonitor(BaseMonitor):
             )
 
 
+#: Evaluation cells (nodes × instants) a :class:`StreamingSkewTracker`
+#: buffers per window: it folds ``max(1, _WINDOW_CELLS // nodes)`` final
+#: instants at a time through the trace fold.
+_WINDOW_CELLS = 1 << 14
+
+
 class StreamingSkewTracker:
     """Folds exact skew extrema incrementally, without storing a trace.
 
     The engine feeds it every logical-clock checkpoint as it happens;
     hardware rate breakpoints are drawn lazily from each clock's fixed
-    schedule.  The tracker evaluates skews at exactly the same point set
+    schedule.  A heap of pending instants yields exactly the point set
     the trace-based evaluation uses — the union of all clocks' linearity
-    breakpoints plus ``{0, horizon}`` — in the same ascending order,
-    right values before left values at each instant, first-argmax/argmin
-    tie-breaking, strict ``>`` updates.  Its results are therefore
-    bit-identical to ``ExecutionTrace.global_skew()`` / ``local_skew()``
-    / ``spread_at(horizon)``; the property suite in
-    ``tests/test_monitors_streaming.py`` pins this down.
+    breakpoints plus ``{0, horizon}`` — in ascending order.  Final
+    instants are buffered into a window of at most
+    ``max(1, _WINDOW_CELLS // nodes)`` instants, and each window is
+    folded by one call of the trace module's skew fold; windows merge
+    with strict ``>``.  Results are therefore bit-identical to
+    ``ExecutionTrace.global_skew()`` / ``local_skew()`` /
+    ``spread_at(horizon)``; ``tests/test_monitors_streaming.py`` checks
+    both against a naive per-point oracle.
 
     Pair skews are folded only at the *pair's own* breakpoint union
     (plus the interval endpoints), never at other nodes' breakpoints:
     evaluating a convex-kinked difference at extra points could surface
     a float-rounding extremum the trace path never sees.
 
-    Memory is O(nodes + edges): with ``prune=True`` the tracker also
-    discards consumed clock-record segments as its fold frontier
-    advances, so a full run needs bounded memory regardless of length.
-
-    Optional ``global_bound`` / ``local_bound`` arm first-violation
-    detection: the earliest evaluation instant at which the folded
-    spread (resp. an edge skew) strictly exceeds the bound is kept in
-    :attr:`first_global_violation` / :attr:`first_local_violation`,
-    giving certificates their margin witness without a trace.
+    Memory is O(nodes · window + edges): after each window the tracker
+    discards the clock-record segments of the nodes it touched that no
+    later instant can need, so a full run needs bounded memory
+    regardless of its length.
     """
 
     def __init__(
@@ -169,25 +173,13 @@ class StreamingSkewTracker:
         nodes: Sequence[NodeId],
         edges: Sequence[Tuple[NodeId, NodeId]],
         horizon: float,
-        prune: bool = False,
-        global_bound: Optional[float] = None,
-        local_bound: Optional[float] = None,
     ):
         self.horizon = float(horizon)
         self.nodes: List[NodeId] = list(nodes)
         self.edges: List[Tuple[NodeId, NodeId]] = [tuple(e) for e in edges]
-        self.global_bound = global_bound
-        self.local_bound = local_bound
-        #: ``(time, spread)`` of the first fold instant exceeding
-        #: ``global_bound``; ``None`` while within bounds.
-        self.first_global_violation: Optional[Tuple[float, float]] = None
-        #: ``(time, skew, edge)`` of the first fold instant exceeding
-        #: ``local_bound``.
-        self.first_local_violation: Optional[Tuple[float, float, Tuple[NodeId, NodeId]]] = None
         #: Spread at the horizon (right values); set by :meth:`finalize`.
         self.final_spread = 0.0
 
-        self._prune = prune
         n = len(self.nodes)
         index = {node: i for i, node in enumerate(self.nodes)}
         self._records: List[Optional[object]] = [None] * n
@@ -202,14 +194,15 @@ class StreamingSkewTracker:
             self._edge_idx.append((ia, ib))
             self._incident[ia].append(e)
             self._incident[ib].append(e)
-        m = len(self.edges)
-        self._edge_best_v = [-1.0] * m
-        self._edge_best_t = [0.0] * m
-        self._edge_last_fold: List[Optional[float]] = [None] * m
-        self._best_value = -1.0
-        self._best_time = 0.0
-        self._best_hi: Optional[int] = None
-        self._best_lo: Optional[int] = None
+        self._best = SkewExtremum(-1.0, 0.0, None, None)
+        self._edge_best_v = [-1.0] * len(self.edges)
+        self._edge_best_t = [0.0] * len(self.edges)
+        # The window: buffered final instants, the nodes owning one of
+        # them, and each touched edge's own instants (as window columns).
+        self._window = max(1, _WINDOW_CELLS // max(1, n))
+        self._points: List[float] = []
+        self._touched: Set[int] = set()
+        self._edge_columns: Dict[int, List[int]] = {}
         # Pending evaluation instants: (time, node_index, from_hw_stream).
         # The sentinel index −1 forces the t=0 endpoint evaluation that
         # the trace path always performs.
@@ -236,15 +229,17 @@ class StreamingSkewTracker:
         heappush(self._heap, (t, idx, False))
 
     def advance(self, now: float) -> None:
-        """Fold every pending instant strictly before ``now``.
+        """Buffer every pending instant strictly before ``now``.
 
         Safe because events pop in nondecreasing time order: no future
         event can add a checkpoint earlier than the current event time,
-        so instants before ``now`` are final.
+        so instants before ``now`` are final.  Later checkpoints never
+        change a clock's values before ``now`` either, so a buffered
+        instant folds the same whenever its window is flushed.
         """
         heap = self._heap
         while heap and heap[0][0] < now:
-            self._fold_next()
+            self._buffer_next()
 
     def finalize(self) -> None:
         """Fold everything up to and including the horizon endpoint."""
@@ -254,7 +249,7 @@ class StreamingSkewTracker:
         horizon = self.horizon
         heap = self._heap
         while heap and heap[0][0] < horizon:
-            self._fold_next()
+            self._buffer_next()
         # Checkpoints exactly at the horizon still count as that node's
         # breakpoints, but the instant itself is evaluated once below as
         # the interval endpoint (with every edge, like the trace path).
@@ -263,101 +258,84 @@ class StreamingSkewTracker:
             if idx >= 0 and self._last_consumed[idx] != t:
                 self._last_consumed[idx] = t
                 self._bp_counts[idx] += 1
-        self._fold_at(horizon, (), all_edges=True)
+        heappush(heap, (horizon, -1, False))
+        self._buffer_next()
+        if self._points:
+            self._flush()
         records = self._records
         values = [0.0 if rec is None else rec.value(horizon) for rec in records]
         self.final_spread = max(values) - min(values)
 
     # -- folding -------------------------------------------------------------
 
-    def _fold_next(self) -> None:
+    def _buffer_next(self) -> None:
+        """Move the earliest pending instant into the window; fold the
+        window once it is full."""
         heap = self._heap
         t = heap[0][0]
-        owners: List[int] = []
-        all_edges = False
+        column = len(self._points)
+        self._points.append(t)
+        edge_ids: List[Iterable[int]] = []
         while heap and heap[0][0] == t:
             _, idx, from_hw = heappop(heap)
             if idx < 0:
-                all_edges = True
+                edge_ids.append(range(len(self.edges)))
             else:
                 if self._last_consumed[idx] != t:
                     self._last_consumed[idx] = t
                     self._bp_counts[idx] += 1
-                    owners.append(idx)
+                    self._touched.add(idx)
+                    edge_ids.append(self._incident[idx])
                 if from_hw:
                     nxt = next(self._hw_streams[idx], None)
                     if nxt is not None:
                         heappush(heap, (nxt, idx, True))
-        self._fold_at(t, owners, all_edges)
+        edge_columns = self._edge_columns
+        for e in chain.from_iterable(edge_ids):
+            columns = edge_columns.get(e)
+            if columns is None:
+                edge_columns[e] = [column]
+            elif columns[-1] != column:
+                columns.append(column)
+        if column + 1 >= self._window:
+            self._flush()
 
-    def _fold_at(self, t: float, owners: Sequence[int], all_edges: bool) -> None:
+    def _flush(self) -> None:
+        """Fold the buffered window with one trace-fold call, then prune."""
+        points = self._points
+        edge_columns = self._edge_columns
+        edge_idx = self._edge_idx
+        pairs = [(*edge_idx[e], columns) for e, columns in edge_columns.items()]
+        (value, k, hi, lo), pair_folds = _skew_fold(self._records, points, pairs)
+        if value > self._best.value:
+            self._best = SkewExtremum(value, points[k], self.nodes[hi], self.nodes[lo])
+        edge_best_v, edge_best_t = self._edge_best_v, self._edge_best_t
+        for e, (magnitude, at) in zip(edge_columns, pair_folds):
+            if magnitude > edge_best_v[e]:
+                edge_best_v[e], edge_best_t[e] = magnitude, points[at]
+        # Every later instant lies after this window, so each touched
+        # record keeps only the segments from its last instant on.
+        frontier = points[-1]
         records = self._records
-        bound = self.global_bound
-        for left in (False, True):
-            if left:
-                values = [0.0 if rec is None else rec.value_left(t) for rec in records]
-            else:
-                values = [0.0 if rec is None else rec.value(t) for rec in records]
-            hi = max(range(len(values)), key=values.__getitem__)
-            lo = min(range(len(values)), key=values.__getitem__)
-            spread = values[hi] - values[lo]
-            if spread > self._best_value:
-                self._best_value, self._best_time = spread, t
-                self._best_hi, self._best_lo = hi, lo
-            if bound is not None and self.first_global_violation is None and spread > bound:
-                self.first_global_violation = (t, spread)
-        if all_edges:
-            edge_ids: Iterator[int] = iter(range(len(self.edges)))
-        else:
-            edge_ids = (e for idx in owners for e in self._incident[idx])
-        local_bound = self.local_bound
-        edge_last_fold = self._edge_last_fold
-        edge_best_v = self._edge_best_v
-        for e in edge_ids:
-            if edge_last_fold[e] == t:
-                continue
-            edge_last_fold[e] = t
-            ia, ib = self._edge_idx[e]
-            rec_a, rec_b = records[ia], records[ib]
-            for left in (False, True):
-                if left:
-                    va = 0.0 if rec_a is None else rec_a.value_left(t)
-                    vb = 0.0 if rec_b is None else rec_b.value_left(t)
-                else:
-                    va = 0.0 if rec_a is None else rec_a.value(t)
-                    vb = 0.0 if rec_b is None else rec_b.value(t)
-                magnitude = abs(va - vb)
-                if magnitude > edge_best_v[e]:
-                    edge_best_v[e], self._edge_best_t[e] = magnitude, t
-                if (
-                    local_bound is not None
-                    and self.first_local_violation is None
-                    and magnitude > local_bound
-                ):
-                    self.first_local_violation = (t, magnitude, self.edges[e])
-        if self._prune:
-            for idx in owners:
-                record = records[idx]
-                if record is not None:
-                    record.prune_to(t)
+        for idx in self._touched:
+            records[idx].prune_to(frontier)
+        self._points = []
+        self._touched = set()
+        self._edge_columns = {}
 
     # -- results -------------------------------------------------------------
 
     def global_extremum(self) -> SkewExtremum:
         """The folded worst-case global skew (Definition 3.1)."""
-        nodes = self.nodes
-        hi = nodes[self._best_hi] if self._best_hi is not None else None
-        lo = nodes[self._best_lo] if self._best_lo is not None else None
-        return SkewExtremum(self._best_value, self._best_time, hi, lo)
+        return self._best
 
     def local_extremum(self) -> SkewExtremum:
         """The folded worst-case local skew (Definition 3.2)."""
-        best = SkewExtremum(-1.0, 0.0, None, None)
         edge_best_v, edge_best_t = self._edge_best_v, self._edge_best_t
-        for e, (a, b) in enumerate(self.edges):
-            if edge_best_v[e] > best.value:
-                best = SkewExtremum(edge_best_v[e], edge_best_t[e], a, b)
-        return best
+        return _max_extremum(
+            SkewExtremum(edge_best_v[e], edge_best_t[e], a, b)
+            for e, (a, b) in enumerate(self.edges)
+        )
 
     def breakpoint_count(self, idx: int) -> int:
         """Unique evaluation instants consumed for node ``idx`` — equal to

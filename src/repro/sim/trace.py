@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import sub
 from pathlib import Path
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -41,6 +42,10 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 #: scalar (array setup costs more than it saves), which also keeps both
 #: paths continuously exercised by the test suite.
 _VECTOR_MIN_POINTS = 512
+
+#: Below this many points the scalar fold queries each record point by
+#: point instead of sweeping it (measured break-even: about 4 points).
+_SWEEP_MIN_POINTS = 4
 
 __all__ = [
     "LogicalClockRecord",
@@ -343,16 +348,14 @@ class LogicalClockRecord:
         return self._count
 
 
-def _vector_eligible(records: Iterable[LogicalClockRecord], n_points: int) -> bool:
+def _vector_eligible(n_points: int) -> bool:
     """Whether the numpy evaluation path applies (never changes results).
 
-    Requires numpy, enough points to amortize array setup, and unpruned
-    records (the scalar sweeps raise :class:`TraceError` for queries in a
-    pruned prefix; the vectorized masks would silently return 0.0).
+    Requires numpy and enough points to amortize array setup.  Pruned
+    records qualify: :func:`_vector_values` raises :class:`TraceError`
+    for a point in a pruned prefix, exactly as the scalar sweeps do.
     """
-    if _np is None or n_points < _VECTOR_MIN_POINTS:
-        return False
-    return all(rec._times[0] == rec._start for rec in records)
+    return _np is not None and n_points >= _VECTOR_MIN_POINTS
 
 
 def _vector_values(record: LogicalClockRecord, ts: "_np.ndarray"):
@@ -365,6 +368,17 @@ def _vector_values(record: LogicalClockRecord, ts: "_np.ndarray"):
     (with ``side='left'`` matching the left limit's step-back at exact
     checkpoint hits).  No reductions, so no reordered rounding.
     """
+    times = record._times
+    start, kept = record._start, times[0]
+    if kept != start:
+        # A point in [start, kept] needs a pruned segment for its right
+        # value or its left limit; refuse it like the scalar sweeps do.
+        k = int(_np.searchsorted(ts, start))
+        if k < len(ts) and ts[k] <= kept:
+            raise TraceError(
+                f"time {float(ts[k])} falls in the pruned prefix of this "
+                f"clock record (kept from {kept})"
+            )
     hardware = record._hardware
     rate = hardware._rate
     rate_times = _np.asarray(rate._times)
@@ -377,7 +391,7 @@ def _vector_values(record: LogicalClockRecord, ts: "_np.ndarray"):
     hw_values = integrals - hardware._start_integral
     hw_values[ts <= hardware._start_time] = 0.0
 
-    times = _np.asarray(record._times)
+    times = _np.asarray(times)
     values = _np.asarray(record._values)
     multipliers = _np.asarray(record._multipliers)
     anchors = _np.asarray(record._anchor_hws)
@@ -388,6 +402,112 @@ def _vector_values(record: LogicalClockRecord, ts: "_np.ndarray"):
     left = values[i] + multipliers[i] * (hw_values - anchors[i])
     left[ts <= times[0]] = 0.0
     return right, left
+
+
+def _skew_fold(
+    records: Sequence[Optional[LogicalClockRecord]],
+    points: Sequence[float],
+    pairs: Sequence[Tuple[int, int, Sequence[int]]] = (),
+) -> Tuple[Tuple[float, int, int, int], List[Tuple[float, int]]]:
+    """The exact skew fold of ``records`` over ascending ``points``.
+
+    Returns ``((spread, k, hi, lo), pair_folds)``: the largest
+    ``max_v L_v − min_v L_v`` over every point, the index ``k`` of its
+    point and the rows ``hi``/``lo`` of the maximal and minimal clock
+    there; and, for each ``pairs[j] = (a, b, columns)``, the largest
+    ``|L_a − L_b|`` over that pair's own ascending point indices
+    ``columns`` only, as ``pair_folds[j] = (magnitude, k)``.  A ``None``
+    record is a node that has not started yet and reads 0.0 everywhere.
+
+    At each point the right value comes before the left limit, the first
+    maximal (and minimal) row wins, and only a strictly larger value
+    replaces the running best.  Both paths below therefore resolve ties
+    identically, and so do successive folds merged with strict ``>``.
+    """
+    n_points = len(points)
+    if _vector_eligible(n_points):
+        ts = _np.asarray(points)
+        rights = _np.zeros((len(records), n_points))
+        lefts = _np.zeros((len(records), n_points))
+        for row, rec in enumerate(records):
+            if rec is not None:
+                rights[row], lefts[row] = _vector_values(rec, ts)
+        # Column max/min select floats without rounding, so the spreads
+        # are the identical differences the scalar fold computes; the
+        # interleaved argmax (right before left at each point) and the
+        # per-column argmax/argmin reproduce its first-winner ties.
+        spreads = _np.empty(2 * n_points)
+        spreads[0::2] = rights.max(axis=0) - rights.min(axis=0)
+        spreads[1::2] = lefts.max(axis=0) - lefts.min(axis=0)
+        k = int(spreads.argmax())
+        column = (rights if k % 2 == 0 else lefts)[:, k >> 1]
+        spread = (
+            float(spreads[k]), k >> 1, int(column.argmax()), int(column.argmin())
+        )
+        if not pairs:
+            return spread, []
+        rows_right, rows_left = rights.T.tolist(), lefts.T.tolist()
+    else:
+        if n_points < _SWEEP_MIN_POINTS:
+            # A short window over many records: scalar queries cost less
+            # than three batched sweeps per record.
+            rows_right = [
+                [0.0 if rec is None else rec.value(t) for rec in records]
+                for t in points
+            ]
+            rows_left = [
+                [0.0 if rec is None else rec.value_left(t) for rec in records]
+                for t in points
+            ]
+        else:
+            # One batched column per record (right values and left limits
+            # share the hardware sweep), transposed to one row per point.
+            zeros = [0.0] * n_points
+            cols_right, cols_left = [], []
+            for rec in records:
+                if rec is None:
+                    cols_right.append(zeros)
+                    cols_left.append(zeros)
+                    continue
+                hw_values = rec.hardware.values_at(points)
+                cols_right.append(rec.values_at(points, _hw_values=hw_values))
+                cols_left.append(rec.values_left_at(points, _hw_values=hw_values))
+            rows_right, rows_left = list(zip(*cols_right)), list(zip(*cols_left))
+        sides = (rows_right, rows_left)
+        spreads = [list(map(sub, map(max, rows), map(min, rows))) for rows in sides]
+        best = max(map(max, spreads))
+        # The first point holding the best spread, its right value before
+        # its left limit, is the strict-> scan's winner; .index() recovers
+        # the first maximal and minimal row there.
+        k, side = min((s.index(best), side) for side, s in enumerate(spreads) if best in s)
+        values = sides[side][k]
+        spread = (best, k, values.index(max(values)), values.index(min(values)))
+    pair_folds: List[Tuple[float, int]] = []
+    for a, b, columns in pairs:
+        best, best_k = -1.0, 0
+        for k in columns:
+            right, left = rows_right[k], rows_left[k]
+            magnitude = abs(right[a] - right[b])
+            if magnitude > best:
+                best, best_k = magnitude, k
+            magnitude = abs(left[a] - left[b])
+            if magnitude > best:
+                best, best_k = magnitude, k
+        pair_folds.append((best, best_k))
+    return spread, pair_folds
+
+
+def _max_extremum(extrema: Iterable["SkewExtremum"]) -> "SkewExtremum":
+    """The first largest of ``extrema`` (strict ``>``).
+
+    An empty fold — local skew on a topology without edges — is 0.0
+    with pair ``(None, None)``: no two neighbours ever disagree.
+    """
+    best: Optional[SkewExtremum] = None
+    for candidate in extrema:
+        if best is None or candidate.value > best.value:
+            best = candidate
+    return SkewExtremum(0.0, 0.0, None, None) if best is None else best
 
 
 @dataclass(frozen=True)
@@ -474,49 +594,31 @@ class ExecutionTrace:
 
     # -- exact extrema -------------------------------------------------------
 
-    def _pair_eval_points(self, a: NodeId, b: NodeId, t0: float, t1: float) -> List[float]:
-        points = set(self.logical[a].breakpoints_in(t0, t1))
-        points.update(self.logical[b].breakpoints_in(t0, t1))
-        points.add(t0)
-        points.add(t1)
-        return sorted(points)
+    def _fold(
+        self, nodes: Sequence[NodeId], t0: Optional[float], t1: Optional[float]
+    ) -> SkewExtremum:
+        """The spread of ``nodes``' clocks, folded exactly over their
+        merged breakpoints in ``[t0, t1]`` (default: the whole run)."""
+        t0 = 0.0 if t0 is None else t0
+        t1 = self.horizon if t1 is None else t1
+        records = [self.logical[node] for node in nodes]
+        points = {t0, t1}
+        for rec in records:
+            points.update(rec.breakpoints_in(t0, t1))
+        eval_points = sorted(points)
+        (value, k, hi, lo), _ = _skew_fold(records, eval_points)
+        return SkewExtremum(value, eval_points[k], nodes[hi], nodes[lo])
 
     def max_pair_skew(
         self, a: NodeId, b: NodeId, t0: Optional[float] = None, t1: Optional[float] = None
     ) -> SkewExtremum:
-        """Exact maximum of ``|L_a − L_b|`` over ``[t0, t1]``."""
-        t0 = 0.0 if t0 is None else t0
-        t1 = self.horizon if t1 is None else t1
-        rec_a, rec_b = self.logical[a], self.logical[b]
-        points = self._pair_eval_points(a, b, t0, t1)
-        if _vector_eligible((rec_a, rec_b), len(points)):
-            ts = _np.asarray(points)
-            a_right, a_left = _vector_values(rec_a, ts)
-            b_right, b_left = _vector_values(rec_b, ts)
-            magnitudes = _np.empty(2 * len(points))
-            magnitudes[0::2] = _np.abs(a_right - b_right)
-            magnitudes[1::2] = _np.abs(a_left - b_left)
-            # argmax picks the first occurrence of the maximum — the same
-            # winner as the strict > scan over the right/left interleaving.
-            k = int(magnitudes.argmax())
-            return SkewExtremum(float(magnitudes[k]), points[k >> 1], a, b)
-        hw_a = rec_a.hardware.values_at(points)
-        hw_b = rec_b.hardware.values_at(points)
-        a_right = rec_a.values_at(points, _hw_values=hw_a)
-        b_right = rec_b.values_at(points, _hw_values=hw_b)
-        a_left = rec_a.values_left_at(points, _hw_values=hw_a)
-        b_left = rec_b.values_left_at(points, _hw_values=hw_b)
-        best_value, best_time = -1.0, t0
-        # Right value first, then the left limit — the same order (and the
-        # same strict > tie-breaking) as per-point evaluation.
-        for t, va, vb, la, lb in zip(points, a_right, b_right, a_left, b_left):
-            magnitude = abs(va - vb)
-            if magnitude > best_value:
-                best_value, best_time = magnitude, t
-            magnitude = abs(la - lb)
-            if magnitude > best_value:
-                best_value, best_time = magnitude, t
-        return SkewExtremum(best_value, best_time, a, b)
+        """Exact maximum of ``|L_a − L_b|`` over ``[t0, t1]``.
+
+        The spread of two clocks is exactly ``|L_a − L_b|``: ``x − y`` and
+        ``y − x`` are negations of each other in IEEE-754.
+        """
+        extremum = self._fold((a, b), t0, t1)
+        return SkewExtremum(extremum.value, extremum.time, a, b)
 
     def global_skew(
         self, t0: Optional[float] = None, t1: Optional[float] = None
@@ -526,75 +628,15 @@ class ExecutionTrace:
         The spread is convex on each common linearity interval, so
         evaluating at all merged breakpoints is exact.
         """
-        t0 = 0.0 if t0 is None else t0
-        t1 = self.horizon if t1 is None else t1
-        points = {t0, t1}
-        for rec in self.logical.values():
-            points.update(rec.breakpoints_in(t0, t1))
-        eval_points = sorted(points)
-        nodes = list(self.logical)
-        if _vector_eligible(self.logical.values(), len(eval_points)):
-            ts = _np.asarray(eval_points)
-            n_points = len(eval_points)
-            rights = _np.empty((len(nodes), n_points))
-            lefts = _np.empty((len(nodes), n_points))
-            for row, node in enumerate(nodes):
-                rights[row], lefts[row] = _vector_values(self.logical[node], ts)
-            # Column max/min select floats without rounding, so the spreads
-            # are the identical differences the scalar fold computes; the
-            # interleaved argmax (right before left at each t) and the
-            # per-column argmax/argmin reproduce its first-winner ties.
-            spreads = _np.empty(2 * n_points)
-            spreads[0::2] = rights.max(axis=0) - rights.min(axis=0)
-            spreads[1::2] = lefts.max(axis=0) - lefts.min(axis=0)
-            k = int(spreads.argmax())
-            column = (rights if k % 2 == 0 else lefts)[:, k >> 1]
-            return SkewExtremum(
-                float(spreads[k]),
-                eval_points[k >> 1],
-                nodes[int(column.argmax())],
-                nodes[int(column.argmin())],
-            )
-        # One batched column per node (right values and left limits share
-        # the hardware sweep), then fold row by row.  Same expressions,
-        # same right-then-left order, same strict > and first-arg-max
-        # tie-breaking as per-point evaluation — bit-identical extrema.
-        cols_right: List[List[float]] = []
-        cols_left: List[List[float]] = []
-        for n in nodes:
-            rec = self.logical[n]
-            hw_values = rec.hardware.values_at(eval_points)
-            cols_right.append(rec.values_at(eval_points, _hw_values=hw_values))
-            cols_left.append(
-                rec.values_left_at(eval_points, _hw_values=hw_values)
-            )
-        best = SkewExtremum(-1.0, t0, None, None)
-        for k, rows in enumerate(zip(zip(*cols_right), zip(*cols_left))):
-            t = eval_points[k]
-            for values in rows:
-                # max()/min() return the same floats as the first-arg-max
-                # scan, and .index() recovers the same (first) extremal
-                # node — only reached on a strict improvement.
-                top = max(values)
-                bottom = min(values)
-                spread = top - bottom
-                if spread > best.value:
-                    best = SkewExtremum(
-                        spread, t,
-                        nodes[values.index(top)], nodes[values.index(bottom)],
-                    )
-        return best
+        return self._fold(list(self.logical), t0, t1)
 
     def local_skew(
         self, t0: Optional[float] = None, t1: Optional[float] = None
     ) -> SkewExtremum:
         """Exact worst-case local skew (Definition 3.2): max over edges."""
-        best = SkewExtremum(-1.0, 0.0, None, None)
-        for a, b in self.topology.edges():
-            candidate = self.max_pair_skew(a, b, t0, t1)
-            if candidate.value > best.value:
-                best = candidate
-        return best
+        return _max_extremum(
+            self.max_pair_skew(a, b, t0, t1) for a, b in self.topology.edges()
+        )
 
     def skew_by_distance(
         self,

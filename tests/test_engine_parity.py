@@ -382,6 +382,16 @@ class TestHandPickedParity:
         assert reference.global_skew_pair == streamed.global_skew_pair
         assert reference.local_skew_pair == streamed.local_skew_pair
 
+    def test_edgeless_topology_has_zero_local_skew(self):
+        spec = ExecutionSpec(
+            line(1), AoptAlgorithm(PARAMS), TwoGroupDrift(0.05, [0]),
+            ConstantDelay(1.0), 20.0, label="line-1",
+        )
+        traced = spec.run_summary()
+        streamed = spec.with_record_trace(False).run_summary()
+        assert (traced.local_skew, traced.local_skew_pair) == (0.0, (None, None))
+        assert canonical_summary_json(traced) == canonical_summary_json(streamed)
+
     def test_monitor_violations_format_identically(self):
         # aopt-broken-rate trips the rate-bound monitor; the formatted
         # violation strings must match between modes.

@@ -1,16 +1,20 @@
-"""Property suite: the streaming skew fold equals exact trace evaluation.
+"""Property suite: the exact skew fold, judged by a naive oracle.
 
-:class:`~repro.sim.monitors.StreamingSkewTracker` claims bit-identical
-results to :meth:`ExecutionTrace.global_skew` / :meth:`local_skew` /
-:meth:`spread_at` while holding O(nodes + edges) state.  These tests
-drive the tracker directly — no engine — over randomized piecewise-linear
-clock ensembles (random drift schedules, random rate-multiplier
-checkpoints, jumps, staggered starts) and compare every folded quantity
-against a freshly built :class:`ExecutionTrace` oracle over *separate but
-identically constructed* records (the tracker is run with ``prune=True``,
-so its own records are progressively consumed).
+:class:`~repro.sim.monitors.StreamingSkewTracker` folds windows of
+instants through the same kernel as :meth:`ExecutionTrace.global_skew` /
+:meth:`local_skew`, so comparing the two alone would not test the fold.
+The judge here is a naive oracle: a per-point loop over scalar
+``value()`` / ``value_left()`` for the global skew and a per-edge loop
+for the local skew.  The tests drive the tracker directly — no engine —
+over randomized piecewise-linear clock ensembles (random drift
+schedules, random rate-multiplier checkpoints, jumps, staggered starts)
+and check the tracker and a freshly built :class:`ExecutionTrace` over
+*separate but identically constructed* records against that oracle
+(the tracker prunes its own records as it goes).  Window lengths of one
+to three instants and a forced numpy path exercise window boundaries and
+both kernel paths.
 
-Equality is exact (``==`` on floats, never ``pytest.approx``): both paths
+Equality is exact (``==`` on floats, never ``pytest.approx``): every path
 must evaluate the same point set in the same order with the same
 arithmetic, which is the engine-parity contract (docs/ENGINE.md).
 
@@ -28,10 +32,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.monitors as monitors_mod
+import repro.sim.trace as trace_mod
 from repro.sim.clock import HardwareClock
 from repro.sim.monitors import StreamingSkewTracker
 from repro.sim.rates import PiecewiseConstantRate
-from repro.sim.trace import ExecutionTrace, LogicalClockRecord
+from repro.sim.trace import ExecutionTrace, LogicalClockRecord, SkewExtremum
 from repro.topology.generators import line
 
 pytestmark = pytest.mark.parity
@@ -84,13 +90,11 @@ def _make_record(node_cfg):
     return clock, LogicalClockRecord(clock)
 
 
-def _drive_tracker(ensemble, topology, **tracker_kwargs):
+def _drive_tracker(ensemble, topology):
     """Replay the ensemble through a tracker exactly as the engine would:
     advance to each event time first, then mutate, then note."""
     nodes = list(topology.nodes)
-    tracker = StreamingSkewTracker(
-        nodes, list(topology.edges()), HORIZON, **tracker_kwargs
-    )
+    tracker = StreamingSkewTracker(nodes, list(topology.edges()), HORIZON)
     clocks = [_make_record(cfg) for cfg in ensemble]
     timeline = []
     for idx, cfg in enumerate(ensemble):
@@ -138,37 +142,117 @@ def _build_oracle_trace(ensemble, topology) -> ExecutionTrace:
     )
 
 
+def _naive_fold(trace, nodes) -> SkewExtremum:
+    """Per-point loop over the nodes' own breakpoints plus ``{0, horizon}``:
+    scalar right value then left limit, first maximal/minimal node,
+    strict ``>``."""
+    points = {0.0, HORIZON}
+    for node in nodes:
+        points.update(trace.logical[node].breakpoints_in(0.0, HORIZON))
+    best = SkewExtremum(-1.0, 0.0, None, None)
+    for t in sorted(points):
+        for left in (False, True):
+            values = [
+                trace.logical[n].value_left(t) if left else trace.logical[n].value(t)
+                for n in nodes
+            ]
+            hi = max(range(len(nodes)), key=values.__getitem__)
+            lo = min(range(len(nodes)), key=values.__getitem__)
+            if values[hi] - values[lo] > best.value:
+                best = SkewExtremum(values[hi] - values[lo], t, nodes[hi], nodes[lo])
+    return best
+
+
+def _naive_local(trace) -> SkewExtremum:
+    """Per-edge loop: the first edge with the largest ``|L_a − L_b|``."""
+    best = SkewExtremum(0.0, 0.0, None, None)
+    for a, b in trace.topology.edges():
+        edge = _naive_fold(trace, (a, b))
+        if best.node_a is None or edge.value > best.value:
+            best = SkewExtremum(edge.value, edge.time, a, b)
+    return best
+
+
+def _assert_matches_oracle(ensemble, topology):
+    tracker = _drive_tracker(ensemble, topology)
+    trace = _build_oracle_trace(ensemble, topology)
+    expected_g, expected_l = _naive_fold(trace, list(trace.logical)), _naive_local(trace)
+    assert trace.global_skew() == expected_g
+    assert tracker.global_extremum() == expected_g
+    assert trace.local_skew() == expected_l
+    assert tracker.local_extremum() == expected_l
+    assert tracker.final_spread == trace.spread_at(HORIZON)
+
+
+@pytest.fixture(params=["scalar", "numpy"])
+def kernel_path(request, monkeypatch):
+    """Run a test on the scalar sweeps and on the forced numpy path."""
+    if request.param == "numpy":
+        if trace_mod._np is None:
+            pytest.skip("numpy is not installed")
+        monkeypatch.setattr(trace_mod, "_VECTOR_MIN_POINTS", 1)
+
+
 class TestFoldEqualsTraceEvaluation:
     @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 5))
     @settings(max_examples=40, deadline=None)
     def test_global_and_local_extrema_bit_identical(self, seed, n_nodes):
-        ensemble = _build_ensemble(seed, n_nodes)
-        topology = line(n_nodes)
-        tracker = _drive_tracker(ensemble, topology, prune=True)
-        trace = _build_oracle_trace(ensemble, topology)
+        _assert_matches_oracle(_build_ensemble(seed, n_nodes), line(n_nodes))
 
-        folded_g = tracker.global_extremum()
-        exact_g = trace.global_skew()
-        assert (folded_g.value, folded_g.time) == (exact_g.value, exact_g.time)
-        assert (folded_g.node_a, folded_g.node_b) == (
-            exact_g.node_a, exact_g.node_b,
-        )
+    @given(
+        seed=st.integers(0, 10_000),
+        n_nodes=st.integers(2, 5),
+        window=st.integers(1, 3),
+        vector=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_short_windows_and_both_kernel_paths(self, seed, n_nodes, window, vector):
+        # Windows of 1-3 instants put many window boundaries inside each
+        # run, and a batch of 1 prunes after every window; a one-point
+        # vector threshold sends every window (and every trace fold)
+        # through the numpy path instead of the scalar sweeps.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monitors_mod, "_WINDOW_CELLS", window * n_nodes)
+            patch.setattr(LogicalClockRecord, "PRUNE_BATCH", 1)
+            if vector:
+                if trace_mod._np is None:
+                    return
+                patch.setattr(trace_mod, "_VECTOR_MIN_POINTS", 1)
+            _assert_matches_oracle(_build_ensemble(seed, n_nodes), line(n_nodes))
 
-        folded_l = tracker.local_extremum()
-        exact_l = trace.local_skew()
-        assert (folded_l.value, folded_l.time) == (exact_l.value, exact_l.time)
-        assert (folded_l.node_a, folded_l.node_b) == (
-            exact_l.node_a, exact_l.node_b,
-        )
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_ties_keep_the_first_instant(self, window, monkeypatch, kernel_path):
+        # Equal rates after a jump hold the skew at exactly 0.25 over many
+        # instants and windows: only the first instant may win.
+        ensemble = [
+            {"bps": [0.0, 10.0, 20.0, 30.0], "rates": [1.0] * 4, "start": 0.0,
+             "events": []},
+            {"bps": [0.0], "rates": [1.0], "start": 0.0,
+             "events": [(5.0, "jump", 0.25)]},
+        ]
+        monkeypatch.setattr(monitors_mod, "_WINDOW_CELLS", 2 * window)
+        _assert_matches_oracle(ensemble, line(2))
+        tracker = _drive_tracker(ensemble, line(2))
+        assert tracker.global_extremum().time == tracker.local_extremum().time == 5.0
 
-        assert tracker.final_spread == trace.spread_at(HORIZON)
+    def test_right_value_before_left_limit(self, kernel_path):
+        # At t=1 node 1 jumps from 0.25 below node 0 to 0.25 above it, and
+        # the skew stays 0.25 after: the right value names the pair (1, 0).
+        ensemble = [
+            {"bps": [0.0], "rates": [1.0], "start": 0.0, "events": []},
+            {"bps": [0.0, 1.0], "rates": [0.75, 1.0], "start": 0.0,
+             "events": [(1.0, "jump", 0.5)]},
+        ]
+        _assert_matches_oracle(ensemble, line(2))
+        extremum = _drive_tracker(ensemble, line(2)).global_extremum()
+        assert (extremum.time, extremum.node_a, extremum.node_b) == (1.0, 1, 0)
 
     @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 5))
     @settings(max_examples=40, deadline=None)
     def test_breakpoint_counts_match_trace_breakpoints(self, seed, n_nodes):
         ensemble = _build_ensemble(seed, n_nodes)
         topology = line(n_nodes)
-        tracker = _drive_tracker(ensemble, topology, prune=True)
+        tracker = _drive_tracker(ensemble, topology)
         trace = _build_oracle_trace(ensemble, topology)
         for idx, node in enumerate(topology.nodes):
             record = trace.logical[node]
@@ -177,88 +261,6 @@ class TestFoldEqualsTraceEvaluation:
                 f"node {node}: folded {tracker.breakpoint_count(idx)} "
                 f"breakpoints, trace has {expected}"
             )
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_pruning_does_not_change_results(self, seed):
-        ensemble = _build_ensemble(seed, 4)
-        topology = line(4)
-        pruned = _drive_tracker(ensemble, topology, prune=True)
-        unpruned = _drive_tracker(ensemble, topology, prune=False)
-        assert pruned.global_extremum() == unpruned.global_extremum()
-        assert pruned.local_extremum() == unpruned.local_extremum()
-        assert pruned.final_spread == unpruned.final_spread
-
-
-class TestFirstViolation:
-    def _global_oracle(self, trace, bound):
-        """Replicate the fold order: ascending union points, right values
-        then left values, first instant with spread strictly above bound."""
-        points = {0.0, HORIZON}
-        for rec in trace.logical.values():
-            points.update(rec.breakpoints_in(0.0, HORIZON))
-        nodes = list(trace.logical)
-        for t in sorted(points):
-            for left in (False, True):
-                values = [
-                    trace.logical[n].value_left(t) if left
-                    else trace.logical[n].value(t)
-                    for n in nodes
-                ]
-                spread = max(values) - min(values)
-                if spread > bound:
-                    return (t, spread)
-        return None
-
-    @given(seed=st.integers(0, 10_000), fraction=st.sampled_from([0.3, 0.6, 0.9]))
-    @settings(max_examples=25, deadline=None)
-    def test_first_global_violation_matches_oracle(self, seed, fraction):
-        ensemble = _build_ensemble(seed, 4)
-        topology = line(4)
-        baseline = _drive_tracker(ensemble, topology)
-        bound = baseline.global_extremum().value * fraction
-        tracker = _drive_tracker(ensemble, topology, global_bound=bound)
-        trace = _build_oracle_trace(ensemble, topology)
-        assert tracker.first_global_violation == self._global_oracle(
-            trace, bound
-        )
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_first_local_violation_time_is_earliest(self, seed):
-        ensemble = _build_ensemble(seed, 4)
-        topology = line(4)
-        baseline = _drive_tracker(ensemble, topology)
-        bound = baseline.local_extremum().value * 0.5
-        if bound <= 0.0:
-            return  # degenerate draw: clocks never diverge
-        tracker = _drive_tracker(ensemble, topology, local_bound=bound)
-        trace = _build_oracle_trace(ensemble, topology)
-        # Oracle: each edge's earliest exceeding instant over the *pair's
-        # own* evaluation points; overall first violation time is their
-        # minimum (which edge reports it can depend on fold order, so
-        # only time and exceedance are asserted).
-        earliest = None
-        for a, b in topology.edges():
-            for t in trace._pair_eval_points(a, b, 0.0, HORIZON):
-                exceeded = any(
-                    abs(
-                        (trace.logical[a].value_left(t) if left
-                         else trace.logical[a].value(t))
-                        - (trace.logical[b].value_left(t) if left
-                           else trace.logical[b].value(t))
-                    ) > bound
-                    for left in (False, True)
-                )
-                if exceeded:
-                    if earliest is None or t < earliest:
-                        earliest = t
-                    break
-        assert tracker.first_local_violation is not None
-        t, magnitude, edge = tracker.first_local_violation
-        assert t == earliest
-        assert magnitude > bound
-        assert edge in tracker.edges
 
 
 class TestCheckpointMeetsRateChange:
@@ -286,17 +288,14 @@ class TestCheckpointMeetsRateChange:
     def test_collision_counts_once_and_extrema_match(self):
         ensemble = self._colliding_ensemble()
         topology = line(2)
-        tracker = _drive_tracker(ensemble, topology, prune=True)
+        tracker = _drive_tracker(ensemble, topology)
         trace = _build_oracle_trace(ensemble, topology)
         record = trace.logical[0]
         # breakpoints_in dedups the collision; the tracker must agree.
         expected = len(record.breakpoints_in(0.0, HORIZON))
         assert 10.0 in record.breakpoints_in(0.0, HORIZON)
         assert tracker.breakpoint_count(0) == expected
-        exact = trace.global_skew()
-        folded = tracker.global_extremum()
-        assert (folded.value, folded.time) == (exact.value, exact.time)
-        assert tracker.final_spread == trace.spread_at(HORIZON)
+        _assert_matches_oracle(ensemble, topology)
 
     def test_checkpoint_at_horizon_counts_but_folds_once(self):
         ensemble = [
@@ -315,6 +314,4 @@ class TestCheckpointMeetsRateChange:
         assert tracker.breakpoint_count(0) == len(
             record.breakpoints_in(0.0, HORIZON)
         )
-        exact = trace.global_skew()
-        folded = tracker.global_extremum()
-        assert (folded.value, folded.time) == (exact.value, exact.time)
+        _assert_matches_oracle(ensemble, topology)

@@ -4,18 +4,19 @@ Trace mode stores every logical-clock checkpoint for every node, which is
 exactly what large networks cannot afford — so the engine *refuses* to
 record a trace above a configurable node cap instead of slowly drowning.
 Streaming mode (``record_trace=False``) has no cap: the skew fold holds
-O(nodes + edges) state and prunes consumed record segments as its
-frontier advances.
+O(nodes · window + edges) state, with a window of ``max(1, 2**14 // nodes)``
+instants, and prunes consumed record segments as its frontier advances.
 
-The 100k-node test is ``slow``-marked (tier-1 excludes it; CI opts in
-with ``-m slow``).  Its thresholds are deliberately loose — an
-order-of-magnitude guard against O(events) memory or quadratic fold
-regressions, not a micro-benchmark: the run allocates ~0.4 GB and ~20 s
-locally, and the test asserts < 1.2 GB / < 240 s.
+The ``slow`` tests are excluded from tier-1 (CI opts in with ``-m slow``).
+The 100k-node thresholds are deliberately loose — an order-of-magnitude
+guard against O(events) memory or quadratic fold regressions, not a
+micro-benchmark: the test asserts < 1.2 GB / < 240 s.  The 257-node test
+compares trace and streaming summaries over ``D·T`` with 63-instant windows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -24,7 +25,8 @@ import pytest
 from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
 from repro.errors import ReproError, SimulationError
-from repro.sim.delays import ConstantDelay
+from repro.exec.spec import ExecutionSpec
+from repro.sim.delays import ConstantDelay, UniformDelay
 from repro.sim.drift import TwoGroupDrift
 from repro.sim.engine import DEFAULT_TRACE_NODE_CAP, SimulationEngine
 from repro.sim.runner import run_execution, run_execution_streaming
@@ -116,3 +118,17 @@ class TestHundredThousandNodes:
             f"allocated (ceiling {self.PEAK_ALLOC_CEILING_BYTES / 1e6:.0f} "
             f"MB) — is the fold or the pruner holding O(events) state?"
         )
+
+
+@pytest.mark.slow
+def test_line_257_trace_and_streaming_summaries_equal():
+    n = 257
+    spec = ExecutionSpec(
+        line(n), AoptAlgorithm(PARAMS), TwoGroupDrift(0.05, list(range(n // 2))),
+        UniformDelay(0.0, 1.0, seed=7), float(n - 1), label="line-257/two-group",
+    )
+    traced = spec.run_summary()
+    streamed = spec.with_record_trace(False).run_summary()
+    for field in dataclasses.fields(traced):
+        if field.name != "spec_digest":
+            assert getattr(traced, field.name) == getattr(streamed, field.name), field.name

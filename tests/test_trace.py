@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.trace as trace_mod
 from repro.errors import TraceError
 from repro.sim.clock import HardwareClock
 from repro.sim.rates import PiecewiseConstantRate
@@ -104,6 +105,29 @@ class TestLogicalClockRecord:
         assert record.multiplier_at(2.0) == 1.0
         assert record.multiplier_at(3.0) == 1.5
         assert record.multiplier_at(-1.0) == 0.0
+
+    @pytest.mark.skipif(trace_mod._np is None, reason="needs the numpy path")
+    def test_vector_path_on_pruned_record_is_exact_or_loud(self, monkeypatch):
+        records = [make_record([(0.0, 1.0), (50.0, 1.1)]) for _ in range(2)]
+        for rec in records:
+            for k in range(1, 100):
+                rec.checkpoint(float(k), 1.0 + (k % 3) / 10)
+        pruned, twin = records
+        pruned.prune_to(60.0)
+        n = trace_mod._VECTOR_MIN_POINTS
+        kept = [60.0 + 40.0 * i / n for i in range(n)]
+        # Kept points: bit-identical to the unpruned twin on the numpy path.
+        assert trace_mod._vector_eligible(n)
+        right, left = trace_mod._vector_values(pruned, trace_mod._np.asarray(kept))
+        assert right.tolist() == twin.values_at(kept)
+        assert left.tolist() == twin.values_left_at(kept)
+        # A point in the pruned prefix raises on both paths.
+        points = [100.0 * i / n for i in range(n)]
+        with pytest.raises(TraceError, match="pruned prefix"):
+            trace_mod._skew_fold([pruned], points)
+        monkeypatch.setattr(trace_mod, "_np", None)
+        with pytest.raises(TraceError, match="pruned prefix"):
+            trace_mod._skew_fold([pruned], points)
 
 
 def build_trace(records, horizon, topology):
