@@ -32,7 +32,9 @@ class HardwareClock:
         is defined as 0 before then and integrates the rate afterwards.
     """
 
-    __slots__ = ("_rate", "_start_time", "_start_integral", "_memo_t", "_memo_v")
+    __slots__ = (
+        "_rate", "_start_time", "_start_integral", "_memo_t", "_memo_v", "_rate_arrays",
+    )
 
     def __init__(self, rate: PiecewiseConstantRate, start_time: float = 0.0):
         if start_time < rate.domain_start:
@@ -51,6 +53,11 @@ class HardwareClock:
         # immutable, so a hit returns the identical float.
         self._memo_t: float = self._start_time
         self._memo_v: float = 0.0
+        # The rate's segment tuples as arrays, built on first use by the
+        # trace module's numpy column fold.  They live here, on a per-run
+        # object, and never on the rate: a rate can sit inside a spec
+        # (ExplicitDrift), whose digest encodes every slot that is set.
+        self._rate_arrays = None
 
     @property
     def start_time(self) -> float:

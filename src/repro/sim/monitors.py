@@ -152,7 +152,11 @@ class StreamingSkewTracker:
     instants are buffered into a window of at most
     ``max(1, _WINDOW_CELLS // nodes)`` instants, and each window is
     folded by one call of the trace module's skew fold; windows merge
-    with strict ``>``.  Results are therefore bit-identical to
+    with strict ``>``.  A window of at least ``_VECTOR_MIN_POINTS`` (32)
+    instants — every full window of a run with up to 512 nodes — folds
+    on numpy columns, all edges' own columns in one gather; shorter
+    windows, such as the one-instant windows of a 100k-node run, fold in
+    pure Python.  Either way the results are bit-identical to
     ``ExecutionTrace.global_skew()`` / ``local_skew()`` /
     ``spread_at(horizon)``; ``tests/test_monitors_streaming.py`` checks
     both against a naive per-point oracle.
@@ -160,7 +164,9 @@ class StreamingSkewTracker:
     Pair skews are folded only at the *pair's own* breakpoint union
     (plus the interval endpoints), never at other nodes' breakpoints:
     evaluating a convex-kinked difference at extra points could surface
-    a float-rounding extremum the trace path never sees.
+    a float-rounding extremum the trace path never sees
+    (``TestOwnInstantsOnly`` in ``tests/test_monitors_streaming.py`` pins
+    two such ensembles).
 
     Memory is O(nodes · window + edges): after each window the tracker
     discards the clock-record segments of the nodes it touched that no

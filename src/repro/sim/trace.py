@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import sub
 from pathlib import Path
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -37,15 +38,28 @@ try:  # numpy is optional; every result below is identical without it.
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
-#: Minimum evaluation-point count before skew extrema switch from the
-#: pure-Python pointer sweeps to the vectorized path.  Small problems stay
-#: scalar (array setup costs more than it saves), which also keeps both
-#: paths continuously exercised by the test suite.
-_VECTOR_MIN_POINTS = 512
+#: Evaluation-point count from which the skew fold runs on numpy columns
+#: instead of the pure-Python pointer sweeps.  Both paths pay per record
+#: (a fixed set of array calls against a sweep step per point), so the
+#: break-even is a point count whatever the number of records: measured
+#: at 32-40 points for 65-record streaming windows and below 32 for
+#: 2-record pair folds.  Shorter folds stay scalar, which also keeps both
+#: paths exercised by the test suite.
+_VECTOR_MIN_POINTS = 32
 
 #: Below this many points the scalar fold queries each record point by
 #: point instead of sweeping it (measured break-even: about 4 points).
 _SWEEP_MIN_POINTS = 4
+
+#: Evaluation cells (records × points) of one trace-mode fold window:
+#: ``ExecutionTrace.global_skew`` / ``max_pair_skew`` fold the merged
+#: breakpoints in windows of
+#: ``max(_VECTOR_MIN_POINTS, _TRACE_WINDOW_CELLS // records)`` points, so
+#: the numpy columns stay near a megabyte however long the run.  Smaller
+#: windows cost more per-record array calls: on the ``sweep-trace``
+#: benchmark (seed 0) the fold took 0.76 s per pass with 2**14 cells and
+#: 0.58-0.60 s with 2**16.
+_TRACE_WINDOW_CELLS = 1 << 16
 
 __all__ = [
     "LogicalClockRecord",
@@ -351,9 +365,10 @@ class LogicalClockRecord:
 def _vector_eligible(n_points: int) -> bool:
     """Whether the numpy evaluation path applies (never changes results).
 
-    Requires numpy and enough points to amortize array setup.  Pruned
-    records qualify: :func:`_vector_values` raises :class:`TraceError`
-    for a point in a pruned prefix, exactly as the scalar sweeps do.
+    Requires numpy and enough points per record to amortize the array
+    calls (:data:`_VECTOR_MIN_POINTS`).  Pruned records qualify:
+    :func:`_vector_values` raises :class:`TraceError` for a point in a
+    pruned prefix, exactly as the scalar sweeps do.
     """
     return _np is not None and n_points >= _VECTOR_MIN_POINTS
 
@@ -367,40 +382,59 @@ def _vector_values(record: LogicalClockRecord, ts: "_np.ndarray"):
     ``searchsorted(side='right') - 1`` is exactly ``bisect_right - 1``
     (with ``side='left'`` matching the left limit's step-back at exact
     checkpoint hits).  No reductions, so no reordered rounding.
+
+    Only the record segments that ``ts`` reaches are converted to arrays;
+    the hardware rate's arrays are built once per clock and cached on the
+    :class:`HardwareClock`, a per-run object.
     """
     times = record._times
     start, kept = record._start, times[0]
     if kept != start:
         # A point in [start, kept] needs a pruned segment for its right
         # value or its left limit; refuse it like the scalar sweeps do.
-        k = int(_np.searchsorted(ts, start))
+        k = int(ts.searchsorted(start))
         if k < len(ts) and ts[k] <= kept:
             raise TraceError(
                 f"time {float(ts[k])} falls in the pruned prefix of this "
                 f"clock record (kept from {kept})"
             )
     hardware = record._hardware
-    rate = hardware._rate
-    rate_times = _np.asarray(rate._times)
-    j = _np.searchsorted(rate_times, ts, side="right") - 1
+    arrays = hardware._rate_arrays
+    if arrays is None:
+        rate = hardware._rate
+        arrays = hardware._rate_arrays = (
+            _np.asarray(rate._times),
+            _np.asarray(rate._cumulative),
+            _np.asarray(rate._rates),
+        )
+    rate_times, cumulative, rates = arrays
+    first = float(ts[0])
+    j = rate_times.searchsorted(ts, side="right") - 1
     # Positions with t <= start are masked to 0.0 below; their (possibly
     # negative) segment indices only ever produce overwritten garbage.
-    integrals = _np.asarray(rate._cumulative)[j] + _np.asarray(rate._rates)[j] * (
-        ts - rate_times[j]
-    )
+    integrals = cumulative[j] + rates[j] * (ts - rate_times[j])
     hw_values = integrals - hardware._start_integral
-    hw_values[ts <= hardware._start_time] = 0.0
+    if first <= hardware._start_time:
+        hw_values[ts <= hardware._start_time] = 0.0
 
-    times = _np.asarray(times)
-    values = _np.asarray(record._values)
-    multipliers = _np.asarray(record._multipliers)
-    anchors = _np.asarray(record._anchor_hws)
-    i = _np.searchsorted(times, ts, side="right") - 1
+    # Convert only the segments the points reach, from the one holding
+    # the first point's left limit to the one holding the last point: a
+    # streaming record keeps up to PRUNE_BATCH stale segments before its
+    # window.  A point before ``kept`` implies ``lo == 0``.
+    lo = max(0, bisect_left(times, first) - 1)
+    hi = max(bisect_right(times, float(ts[-1])), lo + 1)
+    seg_times = _np.asarray(times[lo:hi])
+    values = _np.asarray(record._values[lo:hi])
+    multipliers = _np.asarray(record._multipliers[lo:hi])
+    anchors = _np.asarray(record._anchor_hws[lo:hi])
+    i = seg_times.searchsorted(ts, side="right") - 1
     right = values[i] + multipliers[i] * (hw_values - anchors[i])
-    right[ts < times[0]] = 0.0
-    i = _np.searchsorted(times, ts, side="left") - 1
+    if first < kept:
+        right[ts < kept] = 0.0
+    i = seg_times.searchsorted(ts, side="left") - 1
     left = values[i] + multipliers[i] * (hw_values - anchors[i])
-    left[ts <= times[0]] = 0.0
+    if first <= kept:
+        left[ts <= kept] = 0.0
     return right, left
 
 
@@ -416,8 +450,9 @@ def _skew_fold(
     point and the rows ``hi``/``lo`` of the maximal and minimal clock
     there; and, for each ``pairs[j] = (a, b, columns)``, the largest
     ``|L_a − L_b|`` over that pair's own ascending point indices
-    ``columns`` only, as ``pair_folds[j] = (magnitude, k)``.  A ``None``
-    record is a node that has not started yet and reads 0.0 everywhere.
+    ``columns`` (at least one) only, as ``pair_folds[j] = (magnitude, k)``.
+    A ``None`` record is a node that has not started yet and reads 0.0
+    everywhere.
 
     At each point the right value comes before the left limit, the first
     maximal (and minimal) row wins, and only a strictly larger value
@@ -446,7 +481,25 @@ def _skew_fold(
         )
         if not pairs:
             return spread, []
-        rows_right, rows_left = rights.T.tolist(), lefts.T.tolist()
+        # Every pair's own columns in one gather, each pair's magnitudes
+        # interleaved right before left like the spreads above.  The
+        # segment maximum selects without rounding, and the first
+        # position holding it is the strict-> scan's winner.
+        counts = _np.array([len(columns) for _, _, columns in pairs])
+        cols = _np.fromiter(
+            chain.from_iterable(columns for _, _, columns in pairs), _np.intp
+        )
+        a_rows = _np.repeat([a for a, _, _ in pairs], counts)
+        b_rows = _np.repeat([b for _, b, _ in pairs], counts)
+        magnitudes = _np.empty(2 * len(cols))
+        magnitudes[0::2] = _np.abs(rights[a_rows, cols] - rights[b_rows, cols])
+        magnitudes[1::2] = _np.abs(lefts[a_rows, cols] - lefts[b_rows, cols])
+        starts = _np.zeros(len(pairs), dtype=_np.intp)
+        _np.cumsum(2 * counts[:-1], out=starts[1:])  # reprolint: exact-fold (integer counts)
+        best = _np.maximum.reduceat(magnitudes, starts)
+        hits = _np.flatnonzero(magnitudes == _np.repeat(best, 2 * counts))
+        first = hits[hits.searchsorted(starts)]
+        return spread, list(zip(best.tolist(), cols[first >> 1].tolist()))
     else:
         if n_points < _SWEEP_MIN_POINTS:
             # A short window over many records: scalar queries cost less
@@ -606,7 +659,17 @@ class ExecutionTrace:
         for rec in records:
             points.update(rec.breakpoints_in(t0, t1))
         eval_points = sorted(points)
-        (value, k, hi, lo), _ = _skew_fold(records, eval_points)
+        # Windows merged with strict >, as in the streaming tracker, keep
+        # the first-argmax rule over the whole interval.
+        window = max(_VECTOR_MIN_POINTS, _TRACE_WINDOW_CELLS // len(records))
+        best = None
+        for start in range(0, len(eval_points), window):
+            (value, k, hi, lo), _ = _skew_fold(
+                records, eval_points[start:start + window]
+            )
+            if best is None or value > best[0]:
+                best = (value, start + k, hi, lo)
+        value, k, hi, lo = best
         return SkewExtremum(value, eval_points[k], nodes[hi], nodes[lo])
 
     def max_pair_skew(

@@ -23,3 +23,20 @@ def tight_params() -> SyncParams:
 def aggressive_params() -> SyncParams:
     """Large drift: fast-moving executions for short tests."""
     return SyncParams.recommended(epsilon=0.1, delay_bound=1.0)
+
+
+@pytest.fixture
+def vector_calls(monkeypatch):
+    """The point count of every numpy column evaluation of the skew fold,
+    in call order (empty when every fold took the pure-Python path)."""
+    import repro.sim.trace as trace_mod
+
+    calls = []
+    vector_values = trace_mod._vector_values
+
+    def counted(record, ts):
+        calls.append(len(ts))
+        return vector_values(record, ts)
+
+    monkeypatch.setattr(trace_mod, "_vector_values", counted)
+    return calls

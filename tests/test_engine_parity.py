@@ -36,14 +36,16 @@ import pickle
 
 import pytest
 
+import repro.sim.trace as trace_mod
 from repro.cert.fuzzer import sample_scenario
 from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
-from repro.exec.spec import ExecutionSpec
+from repro.exec.spec import ExecutionSpec, canonical_encoding
 from repro.exec.summary import summarize_streaming, summarize_trace
 from repro.sim.reference import ReferenceSimulationEngine
 from repro.sim.runner import run_execution, run_execution_streaming
-from repro.sim.drift import RandomWalkDrift, TwoGroupDrift
+from repro.sim.drift import ExplicitDrift, RandomWalkDrift, TwoGroupDrift
+from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.delays import ConstantDelay, UniformDelay
 from repro.topology.generators import grid, line
 
@@ -353,12 +355,72 @@ class TestVectorScalarParity:
         assert pickle.dumps(vector_global) == pickle.dumps(scalar_global)
         assert pickle.dumps(vector_local) == pickle.dumps(scalar_local)
 
-    def test_vector_results_are_plain_floats(self):
+    def test_vector_results_are_plain_floats(self, vector_calls):
         # np.float64 leaking into a summary would change pickles and JSON
-        # reprs — the parity contract requires built-in floats throughout.
-        extremum = self._trace().global_skew()
-        assert type(extremum.value) is float
-        assert type(extremum.time) is float
+        # reprs — the parity contract requires built-in floats throughout,
+        # in trace mode and in the streaming tracker's windowed folds.
+        trace = self._trace()
+        streamed = run_execution_streaming(
+            line(16), AoptAlgorithm(PARAMS), TwoGroupDrift(0.05, list(range(8))),
+            UniformDelay(0.0, 1.0, seed=5), 150.0,
+        )
+        if trace_mod._np is not None:
+            assert vector_calls, "the folds never took the numpy path"
+        for extremum in (
+            trace.global_skew(), trace.local_skew(),
+            streamed.global_skew, streamed.local_skew,
+        ):
+            assert type(extremum.value) is float
+            assert type(extremum.time) is float
+        assert type(streamed.final_spread) is float
+
+
+class TestRateArrayCache:
+    """The numpy fold caches each hardware rate's arrays per run.
+
+    ``ExplicitDrift`` holds :class:`PiecewiseConstantRate` objects inside
+    a spec, and the spec digest encodes every attribute slot that is set,
+    so the cache must live on the per-run :class:`HardwareClock`, never on
+    the rate.  The engine entry points run the spec's own drift object
+    (``run_summary`` runs a deep copy), so they would expose a cache on
+    the rate.
+    """
+
+    @pytest.mark.skipif(trace_mod._np is None, reason="needs the numpy path")
+    def test_explicit_drift_digest_survives_runs(self, vector_calls):
+        rates = {
+            v: PiecewiseConstantRate([0.0, 20.0 + v, 45.0], [1.04, 0.96, 1.0 + 0.01 * (v % 3)])
+            for v in range(9)
+        }
+        drift = ExplicitDrift(0.05, rates)
+        topology = line(9)
+
+        def build():
+            return ExecutionSpec(
+                topology, AoptAlgorithm(PARAMS), drift, ConstantDelay(1.0), 80.0
+            )
+
+        def identity(spec):
+            return (
+                spec.digest(),
+                canonical_encoding(spec.drift),
+                [canonical_encoding(rate) for rate in rates.values()],
+            )
+
+        spec = build()
+        streaming = spec.with_record_trace(False)
+        before, before_streaming = identity(spec), identity(streaming)
+        traced, streamed = spec.run_summary(), streaming.run_summary()
+        assert canonical_summary_json(traced) == canonical_summary_json(streamed)
+        trace = run_execution(topology, AoptAlgorithm(PARAMS), drift, ConstantDelay(1.0), 80.0)
+        trace.global_skew(), trace.local_skew()
+        run_execution_streaming(
+            topology, AoptAlgorithm(PARAMS), drift, ConstantDelay(1.0), 80.0
+        )
+        assert vector_calls, "the folds never took the numpy path"
+        assert identity(spec) == identity(build()) == before
+        assert identity(streaming) == identity(build().with_record_trace(False))
+        assert identity(streaming) == before_streaming
 
 
 class TestHandPickedParity:
